@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qre_circuit::LogicalCounts;
 use qre_core::{
-    layout, Constraints, ErrorBudget, Estimator, PhysicalQubit, PhysicalResourceEstimation,
-    QecScheme, SweepSpec, TFactoryBuilder,
+    layout, Constraints, ErrorBudget, EstimateRequest, Estimator, PhysicalQubit, QecScheme,
+    SweepSpec, TFactoryBuilder,
 };
 use qre_expr::{Formula, Scope};
 
@@ -88,7 +88,7 @@ fn bench_layout(c: &mut Criterion) {
 }
 
 fn bench_full_estimate(c: &mut Criterion) {
-    let est = PhysicalResourceEstimation {
+    let request = EstimateRequest {
         counts: LogicalCounts {
             num_qubits: 10_000,
             ccix_count: 1_000_000,
@@ -102,14 +102,18 @@ fn bench_full_estimate(c: &mut Criterion) {
         factory_builder: TFactoryBuilder::default(),
     };
     c.bench_function("full_estimate_from_counts", |b| {
-        b.iter(|| std::hint::black_box(&est).estimate().unwrap())
+        b.iter(|| {
+            Estimator::new()
+                .estimate(std::hint::black_box(&request))
+                .unwrap()
+        })
     });
 }
 
 /// Cold vs. cache-warm engine sweep over the six default hardware profiles
 /// (the Figure 4 shape). "Cold" builds a fresh engine per iteration, so
 /// every item redoes the T-factory pipeline search — the cost profile of
-/// six independent `EstimationJob::estimate()` calls. "Warm" reuses one
+/// six independent one-shot estimates. "Warm" reuses one
 /// engine whose cache was primed once, so the search is skipped for all six
 /// items. The speedup is recorded in `BENCH_engine.json`.
 fn bench_engine_sweep(c: &mut Criterion) {

@@ -11,8 +11,8 @@
 
 use qre_arith::{multiplication_counts, MulAlgorithm};
 use qre_core::{
-    format_duration_ns, group_digits, Constraints, ErrorBudget, PhysicalQubit,
-    PhysicalResourceEstimation, QecScheme, TFactoryBuilder,
+    format_duration_ns, group_digits, Constraints, ErrorBudget, EstimateRequest, Estimator,
+    PhysicalQubit, QecScheme, TFactoryBuilder,
 };
 use std::io::Write as _;
 
@@ -32,6 +32,7 @@ fn main() {
         (0.98, 0.01, "logical-extreme"),
     ];
 
+    let engine = Estimator::new();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let _ = writeln!(
@@ -47,7 +48,7 @@ fn main() {
 
     for (log_share, t_share, label) in splits {
         let budget = ErrorBudget::from_parts(total * log_share, total * t_share, 0.0).unwrap();
-        let est = PhysicalResourceEstimation {
+        let request = EstimateRequest {
             counts,
             qubit: qubit.clone(),
             scheme: scheme.clone(),
@@ -55,7 +56,7 @@ fn main() {
             constraints: Constraints::default(),
             factory_builder: TFactoryBuilder::default(),
         };
-        match est.estimate() {
+        match engine.estimate(&request) {
             Ok(r) => {
                 let _ = writeln!(
                     out,

@@ -10,14 +10,14 @@
 
 use qre_arith::{multiplication_counts, MulAlgorithm};
 use qre_core::{
-    estimate_frontier, format_duration_ns, group_digits, Constraints, ErrorBudget, PhysicalQubit,
-    PhysicalResourceEstimation, QecScheme, TFactoryBuilder,
+    format_duration_ns, group_digits, Constraints, ErrorBudget, EstimateRequest, Estimator,
+    PhysicalQubit, QecScheme, TFactoryBuilder,
 };
 use std::io::Write as _;
 
 fn main() {
     let counts = multiplication_counts(MulAlgorithm::Windowed, 2048);
-    let base = PhysicalResourceEstimation {
+    let base = EstimateRequest {
         counts,
         qubit: PhysicalQubit::qubit_maj_ns_e4(),
         scheme: QecScheme::floquet_code(),
@@ -40,7 +40,8 @@ fn main() {
         "factories", "phys. qubits", "runtime", "qubit-seconds"
     );
     let _ = writeln!(out, "{}", "-".repeat(62));
-    let frontier = estimate_frontier(&base).expect("frontier");
+    let engine = Estimator::new();
+    let frontier = engine.frontier(&base).expect("frontier");
     for p in &frontier {
         let pc = &p.result.physical_counts;
         let _ = writeln!(
@@ -61,14 +62,14 @@ fn main() {
     );
     let _ = writeln!(out, "{}", "-".repeat(56));
     for factor in [1.0, 2.0, 4.0, 8.0, 16.0] {
-        let est = PhysicalResourceEstimation {
+        let request = EstimateRequest {
             constraints: Constraints {
                 logical_depth_factor: Some(factor),
                 ..Constraints::default()
             },
             ..base.clone()
         };
-        match est.estimate() {
+        match engine.estimate(&request) {
             Ok(r) => {
                 let _ = writeln!(
                     out,

@@ -75,7 +75,7 @@ mod net_serve;
 mod serve;
 mod stress;
 
-pub use merge::{merge_files, merge_shard_records, MergeSummary};
+pub use merge::{merge_files, MergeSummary};
 pub use net_serve::{listen_serve, ListenSummary};
 pub use serve::{run_session, serve, ServeOptions, ServeShared, ServeSummary, SessionConfig};
 pub use stress::{stress_job_line, stress_spec, write_stress_jobs, StressShape, StressSummary};
@@ -85,16 +85,16 @@ use std::io::Write;
 use qre_arith::MulAlgorithm;
 use qre_circuit::{qir, LogicalCounts};
 use qre_core::{
-    Constraints, ErrorBudget, EstimationJob, EstimationJobBuilder, Estimator, FrontierPoint,
-    PartitionSearch, PhysicalQubit, QecSchemeKind, SweepScheme, SweepSpec,
+    Constraints, ErrorBudget, EstimateRequest, Estimator, FrontierPoint, PartitionSearch,
+    PhysicalQubit, QecSchemeKind, SweepScheme, SweepSpec,
 };
 use qre_json::{ObjectBuilder, Value};
 
 /// Parsed job specification.
 #[derive(Debug)]
 pub struct JobSpec {
-    /// The assembled estimation job.
-    pub job: EstimationJob,
+    /// The assembled estimation scenario.
+    pub request: EstimateRequest,
     /// Whether to produce a frontier instead of a single estimate.
     pub frontier: bool,
     /// Whether the frontier also searches the error-budget partition
@@ -241,27 +241,22 @@ pub fn search_stats_json(engine: &Estimator) -> Value {
         .build()
 }
 
-/// Run a submission through a fresh engine: a single result object,
+/// Run a submission through `engine`: a single result object,
 /// `{"items": [...]}` for a batch, or `{"estimateType": "sweep", "items":
 /// [...]}` for a sweep. Batch and sweep items that fail estimation report
 /// their error in place instead of failing the whole submission. Ignores
 /// the submission's `stream` flag; callers honouring it use
-/// [`run_submission_streamed`].
-pub fn run_submission(submission: &Submission) -> Result<Value, String> {
-    run_submission_via(&Estimator::new(), submission)
-}
-
-/// [`run_submission`] on a caller-supplied engine, so the caller keeps the
-/// engine's cache and search counters after the run (the `--search-stats`
-/// flow) or shares one warm cache across submissions.
-pub fn run_submission_via(engine: &Estimator, submission: &Submission) -> Result<Value, String> {
+/// [`run_submission_streamed`]. The caller keeps the engine's cache and
+/// search counters after the run (the `--search-stats` flow) and may share
+/// one warm cache across submissions.
+pub fn run_submission(engine: &Estimator, submission: &Submission) -> Result<Value, String> {
     match &submission.kind {
-        SubmissionKind::Single(spec) => run_job_via(engine, spec),
+        SubmissionKind::Single(spec) => run_job(engine, spec),
         SubmissionKind::Batch(jobs) => {
             // One parallel pass over the whole array; every item shares the
             // engine's factory cache.
             let items: Vec<Value> =
-                qre_par::parallel_map(jobs, |spec| match run_job_via(engine, spec) {
+                qre_par::parallel_map(jobs, |spec| match run_job(engine, spec) {
                     Ok(v) => v,
                     Err(e) => ObjectBuilder::new()
                         .field("status", "error")
@@ -285,7 +280,7 @@ pub fn run_submission_via(engine: &Estimator, submission: &Submission) -> Result
     }
 }
 
-/// Most batch/sweep item results resident while [`write_submission_via`]
+/// Most batch/sweep item results resident while [`write_submission`]
 /// emits a monolithic document.
 ///
 /// This is the documented memory bound of the non-streamed delivery path:
@@ -378,7 +373,7 @@ impl<'a> ItemsDocWriter<'a> {
 }
 
 /// Write a submission's monolithic JSON document to `out` — byte-for-byte
-/// the pretty (or compact) rendering of [`run_submission_via`]'s value,
+/// the pretty (or compact) rendering of [`run_submission`]'s value,
 /// plus a trailing newline — while executing batches and sweeps in bounded
 /// chunks of [`MONOLITHIC_CHUNK_ITEMS`] items.
 ///
@@ -389,7 +384,7 @@ impl<'a> ItemsDocWriter<'a> {
 /// Chunking cannot change results: estimation is a pure function of each
 /// item's coordinates (the shared factory cache only accelerates repeats),
 /// so the chunked document is identical to the collected one.
-pub fn write_submission_via(
+pub fn write_submission(
     engine: &Estimator,
     submission: &Submission,
     out: &mut dyn Write,
@@ -398,7 +393,7 @@ pub fn write_submission_via(
     write_submission_chunked(engine, submission, out, compact, MONOLITHIC_CHUNK_ITEMS)
 }
 
-/// [`write_submission_via`] with an explicit chunk size (tests shrink it to
+/// [`write_submission`] with an explicit chunk size (tests shrink it to
 /// force multi-chunk execution on small submissions).
 fn write_submission_chunked(
     engine: &Estimator,
@@ -411,7 +406,7 @@ fn write_submission_chunked(
     match &submission.kind {
         SubmissionKind::Single(spec) => {
             // One result: nothing to chunk.
-            let value = run_job_via(engine, spec)?;
+            let value = run_job(engine, spec)?;
             let text = if compact {
                 value.to_string_compact()
             } else {
@@ -424,7 +419,7 @@ fn write_submission_chunked(
             let mut doc = ItemsDocWriter::open(out, compact, &[("status", "success")], jobs.len())?;
             for block in jobs.chunks(chunk) {
                 let items: Vec<Value> =
-                    qre_par::parallel_map(block, |spec| match run_job_via(engine, spec) {
+                    qre_par::parallel_map(block, |spec| match run_job(engine, spec) {
                         Ok(v) => v,
                         Err(e) => ObjectBuilder::new()
                             .field("status", "error")
@@ -547,7 +542,7 @@ impl<'a> NdjsonSink<'a> {
     }
 }
 
-/// Run a submission through a fresh engine, streaming NDJSON to `out`: one
+/// Run a submission through `engine`, streaming NDJSON to `out`: one
 /// record per finished item **in completion order** (each record's `index`
 /// names its submission/expansion position) plus periodic `{"progress": k,
 /// "total": n}` records and a final one. Sweep records are field-for-field
@@ -558,13 +553,7 @@ impl<'a> NdjsonSink<'a> {
 /// so exit codes do not depend on the delivery mode. A streamed *frontier*
 /// job emits one record per Pareto point (the monolithic document's
 /// `frontier` entries plus an `index` field) instead of one document.
-pub fn run_submission_streamed(submission: &Submission, out: &mut dyn Write) -> Result<(), String> {
-    run_submission_streamed_via(&Estimator::new(), submission, out)
-}
-
-/// [`run_submission_streamed`] on a caller-supplied engine (see
-/// [`run_submission_via`]).
-pub fn run_submission_streamed_via(
+pub fn run_submission_streamed(
     engine: &Estimator,
     submission: &Submission,
     out: &mut dyn Write,
@@ -574,7 +563,7 @@ pub fn run_submission_streamed_via(
             // A streamed frontier delivers one NDJSON record per Pareto
             // point, in frontier order (descending qubits), each carrying
             // its `index`, cap, partition, and full result.
-            let points = run_frontier_points_via(engine, spec)?;
+            let points = run_frontier_points(engine, spec)?;
             let mut sink = NdjsonSink::new(out, points.len());
             for (i, p) in points.iter().enumerate() {
                 sink.record(&frontier_point_json(i, p));
@@ -585,7 +574,7 @@ pub fn run_submission_streamed_via(
             sink.finish()
         }
         SubmissionKind::Single(spec) => {
-            let record = run_job_via(engine, spec)?;
+            let record = run_job(engine, spec)?;
             let mut sink = NdjsonSink::new(out, 1);
             sink.record(&record);
             sink.finish()
@@ -594,7 +583,7 @@ pub fn run_submission_streamed_via(
             let mut sink = NdjsonSink::new(out, jobs.len());
             qre_par::parallel_map_streamed_until(
                 jobs,
-                |_, spec| match run_job_via(engine, spec) {
+                |_, spec| match run_job(engine, spec) {
                     Ok(v) => v,
                     Err(e) => ObjectBuilder::new()
                         .field("status", "error")
@@ -672,7 +661,7 @@ pub fn parse_job_value(doc: &Value) -> Result<JobSpec, String> {
     let qubit = parse_qubit_params(doc.get("qubitParams"))?;
     let qec = parse_qec(doc.get("qecScheme"))?;
 
-    let mut builder: EstimationJobBuilder = EstimationJob::builder()
+    let mut builder = EstimateRequest::builder()
         .counts(counts)
         .profile(qubit)
         .qec(qec);
@@ -717,9 +706,9 @@ pub fn parse_job_value(doc: &Value) -> Result<JobSpec, String> {
         return Err("`searchBudgetPartition` requires `estimateType: \"frontier\"`".into());
     }
 
-    let job = builder.build().map_err(|e| e.to_string())?;
+    let request = builder.build().map_err(|e| e.to_string())?;
     Ok(JobSpec {
-        job,
+        request,
         frontier,
         search_partition,
     })
@@ -1021,16 +1010,11 @@ fn parse_qec(v: Option<&Value>) -> Result<QecSchemeKind, String> {
     }
 }
 
-/// Run a job specification, producing the result JSON (a single result
-/// object, or a frontier array).
-pub fn run_job(spec: &JobSpec) -> Result<Value, String> {
-    run_job_via(&Estimator::new(), spec)
-}
-
-/// Run a job through a caller-owned engine, sharing its factory cache.
-fn run_job_via(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
+/// Run a job specification through `engine`, producing the result JSON (a
+/// single result object, or a frontier array).
+pub fn run_job(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
     if spec.frontier {
-        let points = run_frontier_points_via(engine, spec)?;
+        let points = run_frontier_points(engine, spec)?;
         let items: Vec<Value> = points
             .iter()
             .map(|p| {
@@ -1048,9 +1032,7 @@ fn run_job_via(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
             .field("frontier", Value::Array(items))
             .build())
     } else {
-        let result = engine
-            .estimate(spec.job.as_request())
-            .map_err(|e| e.to_string())?;
+        let result = engine.estimate(&spec.request).map_err(|e| e.to_string())?;
         Ok(result.to_json())
     }
 }
@@ -1058,14 +1040,14 @@ fn run_job_via(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
 /// Explore a frontier job's Pareto set: the plain factory-cap frontier, or
 /// the two-axis (budget partition × cap) search when the job asked for
 /// `"searchBudgetPartition": true`.
-pub(crate) fn run_frontier_points_via(
+pub(crate) fn run_frontier_points(
     engine: &Estimator,
     spec: &JobSpec,
 ) -> Result<Vec<FrontierPoint>, String> {
     let points = if spec.search_partition {
-        engine.frontier_searched(spec.job.as_request(), &PartitionSearch::default())
+        engine.frontier_searched(&spec.request, &PartitionSearch::default())
     } else {
-        engine.frontier(spec.job.as_request())
+        engine.frontier(&spec.request)
     };
     points.map_err(|e| e.to_string())
 }
@@ -1081,9 +1063,10 @@ pub(crate) fn frontier_point_json(index: usize, p: &FrontierPoint) -> Value {
         .build()
 }
 
-/// Run a job and return the human-readable report instead of JSON.
-pub fn run_job_report(spec: &JobSpec) -> Result<String, String> {
-    let result = spec.job.estimate().map_err(|e| e.to_string())?;
+/// Run a job through `engine` and return the human-readable report
+/// instead of JSON.
+pub fn run_job_report(engine: &Estimator, spec: &JobSpec) -> Result<String, String> {
+    let result = engine.estimate(&spec.request).map_err(|e| e.to_string())?;
     Ok(result.to_report())
 }
 
@@ -1102,7 +1085,7 @@ mod tests {
     fn counts_job_round_trip() {
         let spec = parse_job(COUNTS_JOB).unwrap();
         assert!(!spec.frontier);
-        let out = run_job(&spec).unwrap();
+        let out = run_job(&Estimator::new(), &spec).unwrap();
         assert_eq!(out.get("status").unwrap().as_str(), Some("success"));
         assert!(
             out.get_path("physicalCounts.physicalQubits")
@@ -1122,7 +1105,7 @@ mod tests {
             "errorBudget": 0.01
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job(&spec).unwrap();
+        let out = run_job(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("preLayoutLogicalResources.tCount")
                 .unwrap()
@@ -1140,7 +1123,7 @@ mod tests {
             "errorBudget": 1e-4
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job(&spec).unwrap();
+        let out = run_job(&Estimator::new(), &spec).unwrap();
         assert!(
             out.get_path("breakdown.numTstates")
                 .unwrap()
@@ -1161,7 +1144,7 @@ mod tests {
         }"#;
         let spec = parse_job(job).unwrap();
         assert!(spec.frontier);
-        let out = run_job(&spec).unwrap();
+        let out = run_job(&Estimator::new(), &spec).unwrap();
         assert_eq!(out.get("estimateType").unwrap().as_str(), Some("frontier"));
         assert!(!out.get("frontier").unwrap().as_array().unwrap().is_empty());
     }
@@ -1179,8 +1162,8 @@ mod tests {
         assert!(!fixed.search_partition);
         assert!(searched.frontier && searched.search_partition);
 
-        let fixed = run_job(&fixed).unwrap();
-        let searched = run_job(&searched).unwrap();
+        let fixed = run_job(&Estimator::new(), &fixed).unwrap();
+        let searched = run_job(&Estimator::new(), &searched).unwrap();
         assert_eq!(
             searched.get("searchBudgetPartition").unwrap().as_bool(),
             Some(true)
@@ -1244,7 +1227,7 @@ mod tests {
         }"#;
         let submission = parse_submission(job).unwrap();
         let mut bytes = Vec::new();
-        run_submission_streamed(&submission, &mut bytes).unwrap();
+        run_submission_streamed(&Estimator::new(), &submission, &mut bytes).unwrap();
         let lines = parse_ndjson_lines(&bytes);
         let records: Vec<&Value> = lines.iter().filter(|v| v.get("index").is_some()).collect();
         assert!(records.len() >= 2, "expected a real trade-off curve");
@@ -1261,7 +1244,7 @@ mod tests {
             SubmissionKind::Single(spec) => spec,
             _ => unreachable!(),
         };
-        let doc = run_job(spec).unwrap();
+        let doc = run_job(&Estimator::new(), spec).unwrap();
         let entries = doc.get("frontier").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), records.len());
         for (i, (entry, record)) in entries.iter().zip(&records).enumerate() {
@@ -1289,7 +1272,7 @@ mod tests {
             "errorBudgets": [ { "logical": 1e-4, "tStates": 2e-4, "rotations": 0 }, 1e-3 ]
         } }"#;
         let submission = parse_submission(sweep).unwrap();
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission(&Estimator::new(), &submission).unwrap();
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items.len(), 2);
         let total = items[0].get_path("errorBudget").unwrap().as_f64().unwrap();
@@ -1345,7 +1328,7 @@ mod tests {
             "errorBudget": 0.001
         }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job(&spec).unwrap();
+        let out = run_job(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("physicalQubitParameters.tGateError")
                 .unwrap()
@@ -1363,7 +1346,7 @@ mod tests {
             "errorBudget": 0.001,
             "constraints": { "maxTFactories": 2 }
         }"#;
-        let out = run_job(&parse_job(job).unwrap()).unwrap();
+        let out = run_job(&Estimator::new(), &parse_job(job).unwrap()).unwrap();
         assert!(
             out.get_path("breakdown.numTfactories")
                 .unwrap()
@@ -1377,7 +1360,7 @@ mod tests {
     fn defaults_applied() {
         let job = r#"{ "algorithm": { "logicalCounts": { "numQubits": 5, "tCount": 10 } } }"#;
         let spec = parse_job(job).unwrap();
-        let out = run_job(&spec).unwrap();
+        let out = run_job(&Estimator::new(), &spec).unwrap();
         assert_eq!(
             out.get_path("physicalQubitParameters.name")
                 .unwrap()
@@ -1424,7 +1407,7 @@ mod tests {
         let submission = parse_submission(batch).unwrap();
         assert!(!submission.stream);
         assert!(matches!(submission.kind, SubmissionKind::Batch(ref jobs) if jobs.len() == 2));
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission(&Estimator::new(), &submission).unwrap();
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items.len(), 2);
         for item in items {
@@ -1450,7 +1433,7 @@ mod tests {
               "errorBudget": 1e-60 }
         ] }"#;
         let submission = parse_submission(batch).unwrap();
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission(&Estimator::new(), &submission).unwrap();
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items[0].get("status").unwrap().as_str(), Some("success"));
         assert_eq!(items[1].get("status").unwrap().as_str(), Some("error"));
@@ -1468,14 +1451,14 @@ mod tests {
     fn single_submission_passthrough() {
         let submission = parse_submission(COUNTS_JOB).unwrap();
         assert!(matches!(submission.kind, SubmissionKind::Single(_)));
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission(&Estimator::new(), &submission).unwrap();
         assert!(out.get("physicalCounts").is_some());
     }
 
     #[test]
     fn report_mode() {
         let spec = parse_job(COUNTS_JOB).unwrap();
-        let report = run_job_report(&spec).unwrap();
+        let report = run_job_report(&Estimator::new(), &spec).unwrap();
         assert!(report.contains("Physical resource estimates"));
     }
 
@@ -1527,7 +1510,7 @@ mod tests {
         } }"#;
         let submission = parse_submission(sweep).unwrap();
         assert!(matches!(submission.kind, SubmissionKind::Sweep(_)));
-        let out = run_submission(&submission).unwrap();
+        let out = run_submission(&Estimator::new(), &submission).unwrap();
         assert_eq!(out.get("estimateType").unwrap().as_str(), Some("sweep"));
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items.len(), 2);
@@ -1565,7 +1548,7 @@ mod tests {
         let sweep = r#"{ "sweep": {
             "algorithms": [ { "logicalCounts": { "numQubits": 10, "tCount": 100 } } ]
         } }"#;
-        let out = run_submission(&parse_submission(sweep).unwrap()).unwrap();
+        let out = run_submission(&Estimator::new(), &parse_submission(sweep).unwrap()).unwrap();
         assert_eq!(out.get("items").unwrap().as_array().unwrap().len(), 6);
     }
 
@@ -1577,7 +1560,7 @@ mod tests {
             "qubitParams": [ { "name": "qubit_gate_ns_e3" }, { "name": "qubit_maj_ns_e4" } ],
             "qecSchemes": [ { "name": "floquet_code" } ]
         } }"#;
-        let out = run_submission(&parse_submission(sweep).unwrap()).unwrap();
+        let out = run_submission(&Estimator::new(), &parse_submission(sweep).unwrap()).unwrap();
         let items = out.get("items").unwrap().as_array().unwrap();
         assert_eq!(items[0].get("status").unwrap().as_str(), Some("error"));
         assert!(items[0]
@@ -1626,7 +1609,7 @@ mod tests {
         let submission = parse_submission(sweep).unwrap();
         assert!(submission.stream);
         let mut bytes = Vec::new();
-        run_submission_streamed(&submission, &mut bytes).unwrap();
+        run_submission_streamed(&Estimator::new(), &submission, &mut bytes).unwrap();
         let lines = parse_ndjson_lines(&bytes);
 
         let records: Vec<&Value> = lines.iter().filter(|v| v.get("index").is_some()).collect();
@@ -1643,7 +1626,7 @@ mod tests {
 
         // Streamed records are field-for-field the collecting document's
         // items, matched up by index.
-        let collected = run_submission(&submission).unwrap();
+        let collected = run_submission(&Estimator::new(), &submission).unwrap();
         let items = collected.get("items").unwrap().as_array().unwrap();
         for record in records {
             let index = record.get("index").unwrap().as_u64().unwrap() as usize;
@@ -1665,7 +1648,7 @@ mod tests {
         ] }"#;
         let submission = parse_submission(batch).unwrap();
         let mut bytes = Vec::new();
-        run_submission_streamed(&submission, &mut bytes).unwrap();
+        run_submission_streamed(&Estimator::new(), &submission, &mut bytes).unwrap();
         let lines = parse_ndjson_lines(&bytes);
         let records: Vec<&Value> = lines.iter().filter(|v| v.get("index").is_some()).collect();
         assert_eq!(records.len(), 3);
@@ -1692,7 +1675,7 @@ mod tests {
         let submission = parse_submission(job).unwrap();
         assert!(submission.stream);
         let mut bytes = Vec::new();
-        run_submission_streamed(&submission, &mut bytes).unwrap();
+        run_submission_streamed(&Estimator::new(), &submission, &mut bytes).unwrap();
         let lines = parse_ndjson_lines(&bytes);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].get("physicalCounts").is_some());
@@ -1710,8 +1693,8 @@ mod tests {
         }"#;
         let submission = parse_submission(job).unwrap();
         let mut bytes = Vec::new();
-        let streamed = run_submission_streamed(&submission, &mut bytes);
-        let collected = run_submission(&submission);
+        let streamed = run_submission_streamed(&Estimator::new(), &submission, &mut bytes);
+        let collected = run_submission(&Estimator::new(), &submission);
         assert!(streamed.is_err());
         assert_eq!(streamed.unwrap_err(), collected.unwrap_err());
         assert!(bytes.is_empty(), "no partial output on a failed single job");
@@ -1739,7 +1722,7 @@ mod tests {
         for text in [sweep, batch, single] {
             let submission = parse_submission(text).unwrap();
             let engine = Estimator::new();
-            let collected = run_submission_via(&engine, &submission).unwrap();
+            let collected = run_submission(&engine, &submission).unwrap();
             for (compact, expected) in [
                 (false, format!("{}\n", collected.to_string_pretty())),
                 (true, format!("{}\n", collected.to_string_compact())),
@@ -1766,7 +1749,7 @@ mod tests {
         };
         let engine = Estimator::new();
         let mut bytes = Vec::new();
-        let err = write_submission_via(&engine, &submission, &mut bytes, false).unwrap_err();
+        let err = write_submission(&engine, &submission, &mut bytes, false).unwrap_err();
         assert!(err.contains("workload"), "{err}");
         assert!(bytes.is_empty(), "no partial output on a failed sweep");
     }

@@ -433,8 +433,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let engine = qre_core::Estimator::new();
         for spec in specs {
-            match qre_cli::run_job_report(spec) {
+            match qre_cli::run_job_report(&engine, spec) {
                 Ok(text) => print!("{text}"),
                 Err(e) => {
                     eprintln!("estimation failed: {e}");
@@ -447,7 +448,7 @@ fn main() -> ExitCode {
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
         let engine = qre_core::Estimator::new();
-        match qre_cli::run_submission_streamed_via(&engine, &submission, &mut out) {
+        match qre_cli::run_submission_streamed(&engine, &submission, &mut out) {
             Ok(()) => {
                 print_search_stats(search_stats, &engine);
                 ExitCode::SUCCESS
@@ -465,7 +466,7 @@ fn main() -> ExitCode {
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
         let engine = qre_core::Estimator::new();
-        match qre_cli::write_submission_via(&engine, &submission, &mut out, compact) {
+        match qre_cli::write_submission(&engine, &submission, &mut out, compact) {
             Ok(()) => {
                 drop(out);
                 print_search_stats(search_stats, &engine);

@@ -5,8 +5,8 @@
 //! item records of their row-major block, every record carrying its
 //! **global** sweep `"index"`. This module is the join side: read the shard
 //! sessions' output files, keep the item records, and re-assemble them in
-//! expansion order through the same validating join the in-process API uses
-//! ([`qre_core::merge_indexed`] is the collecting form) — a duplicate or
+//! expansion order, validating the merge plan through the same join the
+//! in-process API uses ([`qre_core::merge_indexed`]) — a duplicate or
 //! missing index fails the merge, so a successful merge *is* the proof that
 //! the shard files cover the sweep exactly.
 //!
@@ -108,15 +108,6 @@ fn classify(record: &Value, place: &str) -> Result<Option<usize>, String> {
     }
 }
 
-/// Join already-classified shard record sets through the validating merge,
-/// returning the item records in global expansion order. Fails (with the
-/// first gap or duplicate named) unless the union covers `0..n` exactly.
-/// This is the collecting (in-memory) join; [`merge_files`] streams.
-pub fn merge_shard_records(shards: Vec<Vec<(usize, Value)>>) -> Result<Vec<Value>, String> {
-    let merged = qre_core::merge_indexed(shards, |(index, _)| *index).map_err(|e| e.to_string())?;
-    Ok(merged.into_iter().map(|(_, record)| record).collect())
-}
-
 /// Pass one over one shard file: scan sequentially, classify every line,
 /// and append item entries to the merge plan. Only one line (and its
 /// transiently parsed record) is resident at a time.
@@ -181,22 +172,12 @@ pub fn merge_files(paths: &[String], out: &mut dyn Write) -> Result<MergeSummary
         index_shard_file(path, file_id, &mut plan, &mut skipped, &mut peak)?;
     }
 
-    // Validate coverage on the sorted plan — the same `0..n` check (and
-    // message) as the in-process `qre_core::merge_indexed` join. The sort
-    // is the index-join over the files' runs; each file's entries are
-    // already in that file's completion order, the sort aligns them
-    // globally without touching record text.
-    plan.sort_by_key(|entry| entry.index);
-    for (expected, entry) in plan.iter().enumerate() {
-        if entry.index != expected {
-            return Err(format!(
-                "sharded outcomes do not cover the sweep: expected item index {expected}, \
-                 found {found} ({total} item(s) total)",
-                found = entry.index,
-                total = plan.len()
-            ));
-        }
-    }
+    // Sort the plan and validate its `0..n` coverage through the in-process
+    // join, `qre_core::merge_indexed`. The sort is the index-join over the
+    // files' runs; each file's entries are already in that file's
+    // completion order, the sort aligns them globally without touching
+    // record text.
+    let plan = qre_core::merge_indexed([plan], |entry| entry.index).map_err(|e| e.to_string())?;
 
     // Pass two: replay the plan, one record resident at a time.
     let mut readers: Vec<BufReader<std::fs::File>> = Vec::with_capacity(paths.len());

@@ -816,7 +816,7 @@ fn execute(
         // Pareto point (the pipe mode's streamed records, each wrapped in
         // the job envelope) instead of one monolithic frontier document.
         SubmissionKind::Single(spec) if stream && spec.frontier => {
-            match crate::run_frontier_points_via(engine, &spec) {
+            match crate::run_frontier_points(engine, &spec) {
                 Ok(points) => {
                     for (i, p) in points.iter().enumerate() {
                         if !emit(job_record(id, crate::frontier_point_json(i, p))) {
@@ -837,7 +837,7 @@ fn execute(
                 }
             }
         }
-        SubmissionKind::Single(spec) => match crate::run_job_via(engine, &spec) {
+        SubmissionKind::Single(spec) => match crate::run_job(engine, &spec) {
             Ok(value) => {
                 emit(job_record(id, value));
                 Ok(ItemCounts {
@@ -859,7 +859,7 @@ fn execute(
             let errors = std::sync::atomic::AtomicUsize::new(0);
             qre_par::parallel_map_streamed_until(
                 &jobs,
-                |_, spec| match crate::run_job_via(engine, spec) {
+                |_, spec| match crate::run_job(engine, spec) {
                     Ok(v) => v,
                     Err(e) => {
                         errors.fetch_add(1, Ordering::Relaxed);

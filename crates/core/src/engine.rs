@@ -1,28 +1,29 @@
-//! The estimation engine: one *streamed* batch/sweep execution path with a
-//! shared, memoized T-factory cache.
+//! The estimation engine: the one way to run a scenario, over a shared,
+//! memoized T-factory cache.
 //!
-//! [`Estimator`] is the centre of the public API. Every consumer — the
-//! one-shot [`crate::EstimationJob`] wrapper, the CLI's job arrays and sweep
-//! form, the figure harness, and the qubit/runtime frontier — funnels into
-//! one streamed execution core ([`qre_par::parallel_map_streamed`]): items
-//! run in parallel and their outcomes are delivered **as they finish**, with
-//! per-item errors reported in place rather than aborting the batch. Three
-//! consumption styles layer on top of that single path:
+//! [`Estimator`] is the centre of the public API. Every consumer — the CLI's
+//! single jobs, job arrays and sweep form, the figure harness, the serve
+//! sessions, and the qubit/runtime frontier — runs through it. One request
+//! runs with [`Estimator::estimate`]; its trade-off curves with
+//! [`Estimator::frontier`] and [`Estimator::frontier_searched`]. Declared
+//! sweeps run through one streamed execution core
+//! ([`qre_par::parallel_map_streamed`]): items run in parallel and their
+//! outcomes are delivered **as they finish**, with per-item errors reported
+//! in place rather than aborting the sweep. Three consumption styles layer
+//! on top of that single path:
 //!
-//! * collecting — [`Estimator::estimate_batch`] / [`Estimator::sweep`]
-//!   stitch streamed outcomes back into input (expansion) order,
-//! * observer callbacks — [`Estimator::estimate_batch_with`] /
-//!   [`Estimator::sweep_with`] / [`Estimator::frontier_with`] hand each
-//!   outcome to a closure in completion order (progress bars, NDJSON),
-//! * iterators — [`Estimator::estimate_batch_stream`] /
-//!   [`Estimator::sweep_stream`] move execution to a background thread and
-//!   yield outcomes in completion order as an [`Iterator`].
+//! * collecting — [`Estimator::sweep`] stitches streamed outcomes back into
+//!   expansion order,
+//! * observer callback — [`Estimator::sweep_with`] hands each outcome to a
+//!   closure in completion order (progress bars, NDJSON),
+//! * iterator — [`Estimator::sweep_stream`] moves execution to a background
+//!   thread and yields outcomes in completion order as an [`Iterator`].
 //!
-//! The engine owns a [`FactoryCache`] (behind an [`Arc`], so streams and
-//! clones share it): the expensive distillation-pipeline search is memoized
-//! across every estimate the engine runs, so repeated scenarios (a profile
-//! sweep re-run, the frontier's dozens of re-estimates of one scenario,
-//! identical batch items) skip the search entirely.
+//! The engine owns a [`FactoryCache`] (behind an [`Arc`], so streams share
+//! it): the expensive distillation-pipeline search is memoized across every
+//! estimate the engine runs, so repeated scenarios (a profile sweep re-run,
+//! the frontier's dozens of re-estimates of one scenario) skip the search
+//! entirely.
 //!
 //! ## Sharing, bounding, and persisting the cache
 //!
@@ -47,13 +48,12 @@ use std::sync::Arc;
 use crate::budget::PartitionSearch;
 use crate::cache::{CacheStats, FactoryCache};
 use crate::error::{Error, Result};
-use crate::estimate::PhysicalResourceEstimation;
-use crate::frontier::{estimate_frontier_searched_via, estimate_frontier_via, FrontierPoint};
+use crate::frontier::FrontierPoint;
 use crate::request::{EstimateRequest, SweepPoint, SweepSpec};
 use crate::result::EstimationResult;
 
-/// A reusable estimation session: parallel batch/sweep execution over a
-/// shared memoized T-factory cache.
+/// A reusable estimation session: single estimates, frontiers, and parallel
+/// sweeps over a shared memoized T-factory cache.
 ///
 /// ```
 /// use qre_core::{Estimator, EstimateRequest, PhysicalQubit, QecSchemeKind};
@@ -83,18 +83,6 @@ pub struct Estimator {
     cache: Arc<FactoryCache>,
 }
 
-/// Outcome of one batch item, in input order.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// Position of the request in the submitted slice.
-    pub index: usize,
-    /// The request's label.
-    pub label: String,
-    /// The item's result; failures are reported here without affecting
-    /// sibling items.
-    pub outcome: Result<EstimationResult>,
-}
-
 /// Outcome of one sweep item, in expansion (row-major) order.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
@@ -120,63 +108,27 @@ impl Estimator {
 
     /// Estimate one request through the shared cache.
     pub fn estimate(&self, request: &EstimateRequest) -> Result<EstimationResult> {
-        request.estimation.estimate_with(&self.cache)
-    }
-
-    /// Estimate many independent requests in parallel. Outcomes come back in
-    /// input order; a failing item reports its error in place.
-    /// ([`qre_par::parallel_map_indexed`] restores input order over the same
-    /// streamed core the `_with`/`_stream` variants use.)
-    pub fn estimate_batch(&self, requests: &[EstimateRequest]) -> Vec<BatchOutcome> {
-        qre_par::parallel_map_indexed(requests, |index, request| BatchOutcome {
-            index,
-            label: request.label.clone(),
-            outcome: self.estimate(request),
-        })
-    }
-
-    /// Streamed batch execution: estimate every request in parallel and hand
-    /// each [`BatchOutcome`] to `on_outcome` **in completion order** (the
-    /// outcome's `index` identifies the originating request). `on_outcome`
-    /// runs on the calling thread. This is the execution core
-    /// [`Estimator::estimate_batch`] collects from.
-    pub fn estimate_batch_with<F>(&self, requests: &[EstimateRequest], mut on_outcome: F)
-    where
-        F: FnMut(BatchOutcome),
-    {
-        qre_par::parallel_map_streamed(
-            requests,
-            |index, request| BatchOutcome {
-                index,
-                label: request.label.clone(),
-                outcome: self.estimate(request),
-            },
-            |_, outcome| on_outcome(outcome),
-        );
+        request.estimate_with(&self.cache)
     }
 
     /// Expand a sweep's cartesian product and estimate every item in
     /// parallel. Outcomes come back in expansion (row-major) order with
-    /// per-item errors in place; only an empty mandatory axis fails the
-    /// whole sweep.
+    /// per-item errors in place; only an expansion error (an empty
+    /// mandatory axis, an overflowing axis product) fails the whole sweep.
     pub fn sweep(&self, spec: &SweepSpec) -> Result<Vec<SweepOutcome>> {
         let items = spec.expand()?;
-        Ok(qre_par::parallel_map(&items, |(point, estimation)| {
-            self.sweep_outcome(point, estimation)
+        Ok(qre_par::parallel_map(&items, |(point, request)| {
+            self.sweep_outcome(point, request)
         }))
     }
 
     /// Estimate one expanded sweep item (shared by the collecting, observer,
     /// and iterator forms).
-    fn sweep_outcome(
-        &self,
-        point: &SweepPoint,
-        estimation: &Result<PhysicalResourceEstimation>,
-    ) -> SweepOutcome {
+    fn sweep_outcome(&self, point: &SweepPoint, request: &Result<EstimateRequest>) -> SweepOutcome {
         SweepOutcome {
             point: point.clone(),
-            outcome: match estimation {
-                Ok(est) => est.estimate_with(&self.cache),
+            outcome: match request {
+                Ok(request) => self.estimate(request),
                 Err(e) => Err(e.clone()),
             },
         }
@@ -186,7 +138,7 @@ impl Estimator {
     /// every item in parallel, and hand each [`SweepOutcome`] to
     /// `on_outcome` **in completion order** (the outcome's `point.index`
     /// identifies its position in the expansion). Returns the number of
-    /// expanded items; only an empty mandatory axis fails the whole sweep.
+    /// expanded items; only an expansion error fails the whole sweep.
     /// This is the execution core [`Estimator::sweep`] collects from.
     pub fn sweep_with<F>(&self, spec: &SweepSpec, mut on_outcome: F) -> Result<usize>
     where
@@ -196,46 +148,21 @@ impl Estimator {
         let total = items.len();
         qre_par::parallel_map_streamed(
             &items,
-            |_, (point, estimation)| self.sweep_outcome(point, estimation),
+            |_, (point, request)| self.sweep_outcome(point, request),
             |_, outcome| on_outcome(outcome),
         );
         Ok(total)
     }
 
-    /// Streamed batch execution as an [`Iterator`]: takes ownership of the
-    /// requests, runs them on a background thread sharing this engine's
-    /// factory cache, and yields outcomes in completion order.
+    /// Streamed sweep execution as an [`Iterator`]: expands the spec now
+    /// (expansion errors surface immediately), runs the items on a
+    /// background thread sharing this engine's factory cache, and yields
+    /// outcomes in completion order.
     ///
     /// Dropping the stream early cancels the run: undelivered outcomes are
     /// discarded, no further items start, and the drop blocks only until
     /// the in-flight items finish. A panicking item re-raises on the
     /// consumer at the `next()` that observes the end of the stream.
-    pub fn estimate_batch_stream(&self, requests: Vec<EstimateRequest>) -> BatchStream {
-        let cache = Arc::clone(&self.cache);
-        OutcomeStream::spawn(requests.len(), move |sender| {
-            let engine = Estimator::with_cache(cache);
-            qre_par::parallel_map_streamed_until(
-                &requests,
-                |index, request| BatchOutcome {
-                    index,
-                    label: request.label.clone(),
-                    outcome: engine.estimate(request),
-                },
-                // A dropped receiver is the consumer hanging up: stop
-                // claiming new items and wind down.
-                |_, outcome| match sender.send(outcome) {
-                    Ok(()) => std::ops::ControlFlow::Continue(()),
-                    Err(_) => std::ops::ControlFlow::Break(()),
-                },
-            );
-        })
-    }
-
-    /// Streamed sweep execution as an [`Iterator`]: expands the spec now
-    /// (axis errors surface immediately), runs the items on a background
-    /// thread sharing this engine's factory cache, and yields outcomes in
-    /// completion order. See [`Estimator::estimate_batch_stream`] for drop
-    /// and panic semantics.
     pub fn sweep_stream(&self, spec: &SweepSpec) -> Result<SweepStream> {
         let items = spec.expand()?;
         let cache = Arc::clone(&self.cache);
@@ -243,7 +170,9 @@ impl Estimator {
             let engine = Estimator::with_cache(cache);
             qre_par::parallel_map_streamed_until(
                 &items,
-                |_, (point, estimation)| engine.sweep_outcome(point, estimation),
+                |_, (point, request)| engine.sweep_outcome(point, request),
+                // A dropped receiver is the consumer hanging up: stop
+                // claiming new items and wind down.
                 |_, outcome| match sender.send(outcome) {
                     Ok(()) => std::ops::ControlFlow::Continue(()),
                     Err(_) => std::ops::ControlFlow::Break(()),
@@ -256,32 +185,7 @@ impl Estimator {
     /// cache: the factory design is computed once and reused by every
     /// factory-cap re-estimate.
     pub fn frontier(&self, request: &EstimateRequest) -> Result<Vec<FrontierPoint>> {
-        estimate_frontier_via(self, &request.estimation, |_| {})
-    }
-
-    /// Like [`Estimator::frontier`], streaming each factory-cap re-estimate
-    /// to `on_point` in completion order as the cap sweep executes (the
-    /// outcome's `point.constraints.max_t_factories` names the cap). The
-    /// returned vector is the Pareto-reduced frontier, as in
-    /// [`Estimator::frontier`]; observed outcomes include the dominated and
-    /// failed points the reduction later drops.
-    pub fn frontier_with<F>(
-        &self,
-        request: &EstimateRequest,
-        on_point: F,
-    ) -> Result<Vec<FrontierPoint>>
-    where
-        F: FnMut(&SweepOutcome),
-    {
-        estimate_frontier_via(self, &request.estimation, on_point)
-    }
-
-    /// Like [`Estimator::frontier`], for an already-assembled estimation.
-    pub fn frontier_of(
-        &self,
-        estimation: &PhysicalResourceEstimation,
-    ) -> Result<Vec<FrontierPoint>> {
-        estimate_frontier_via(self, estimation, |_| {})
+        crate::frontier::frontier(self, request)
     }
 
     /// Explore the two-axis (error-budget partition × factory-copy cap)
@@ -295,36 +199,7 @@ impl Estimator {
         request: &EstimateRequest,
         search: &PartitionSearch,
     ) -> Result<Vec<FrontierPoint>> {
-        estimate_frontier_searched_via(self, &request.estimation, search, |_| {})
-    }
-
-    /// Like [`Estimator::frontier_searched`], streaming every exploratory
-    /// re-estimate to `on_point` in completion order: first the
-    /// per-partition base estimates, then the full (partition × cap)
-    /// product (the outcome's `point.budget` and
-    /// `point.constraints.max_t_factories` name the coordinates). Observed
-    /// outcomes include the dominated and failed points the Pareto
-    /// reduction later drops.
-    pub fn frontier_searched_with<F>(
-        &self,
-        request: &EstimateRequest,
-        search: &PartitionSearch,
-        on_point: F,
-    ) -> Result<Vec<FrontierPoint>>
-    where
-        F: FnMut(&SweepOutcome),
-    {
-        estimate_frontier_searched_via(self, &request.estimation, search, on_point)
-    }
-
-    /// Like [`Estimator::frontier_searched`], for an already-assembled
-    /// estimation.
-    pub fn frontier_searched_of(
-        &self,
-        estimation: &PhysicalResourceEstimation,
-        search: &PartitionSearch,
-    ) -> Result<Vec<FrontierPoint>> {
-        estimate_frontier_searched_via(self, estimation, search, |_| {})
+        crate::frontier::frontier_searched(self, request, search)
     }
 
     /// Hit/miss/size counters of the factory cache.
@@ -346,30 +221,18 @@ impl Estimator {
         self.cache.search_counters()
     }
 
-    /// Drop every cached factory design.
-    pub fn clear_cache(&self) {
-        self.cache.clear()
-    }
-
     /// The underlying cache (for advanced composition).
     pub fn cache(&self) -> &FactoryCache {
         &self.cache
     }
-
-    /// A shareable handle to the cache, for building sibling engines via
-    /// [`Estimator::with_cache`].
-    pub fn cache_handle(&self) -> Arc<FactoryCache> {
-        Arc::clone(&self.cache)
-    }
 }
 
-/// Iterator over outcomes of a streamed batch or sweep, yielding items in
-/// completion order from a background execution thread.
+/// Iterator over outcomes of a streamed sweep, yielding items in completion
+/// order from a background execution thread.
 ///
-/// Produced by [`Estimator::estimate_batch_stream`] and
-/// [`Estimator::sweep_stream`]. Each yielded outcome carries its original
-/// batch index / [`SweepPoint`], so consumers can attribute results without
-/// assuming input order. The background thread is joined when the stream is
+/// Produced by [`Estimator::sweep_stream`]. Each yielded outcome carries its
+/// [`SweepPoint`], so consumers can attribute results without assuming
+/// expansion order. The background thread is joined when the stream is
 /// exhausted or dropped; a panic raised by an item propagates to the
 /// consumer at that join.
 #[derive(Debug)]
@@ -382,8 +245,6 @@ pub struct OutcomeStream<O> {
     delivered: usize,
 }
 
-/// Completion-order iterator over [`BatchOutcome`]s.
-pub type BatchStream = OutcomeStream<BatchOutcome>;
 /// Completion-order iterator over [`SweepOutcome`]s.
 pub type SweepStream = OutcomeStream<SweepOutcome>;
 
@@ -396,7 +257,7 @@ impl<O: Send + 'static> OutcomeStream<O> {
     /// The channel is bounded (at [`qre_par::streamed_buffer_bound`] for the
     /// run's worker count): a consumer that stops pulling — a serve session
     /// writing to a slow client — blocks the background execution instead
-    /// of letting it buffer the whole batch's outcomes in memory.
+    /// of letting it buffer the whole sweep's outcomes in memory.
     fn spawn<W>(total: usize, work: W) -> Self
     where
         W: FnOnce(mpsc::SyncSender<O>) + Send + 'static,
@@ -419,7 +280,7 @@ impl<O: Send + 'static> OutcomeStream<O> {
 }
 
 impl<O> OutcomeStream<O> {
-    /// Total number of items the underlying batch/sweep executes.
+    /// Total number of items the underlying sweep executes.
     pub fn total(&self) -> usize {
         self.total
     }
@@ -481,30 +342,18 @@ impl<O> Drop for OutcomeStream<O> {
     }
 }
 
-/// Merge the outcomes of a sweep's shards back into the full expansion
-/// order, verifying completeness.
+/// Merge the per-shard outcome vectors of a sweep back into the full
+/// expansion order, verifying completeness.
 ///
 /// This is the join side of [`crate::SweepSpec::shard`]: run each shard
-/// (possibly in a different process), collect the per-shard outcome vectors,
-/// and merge. Outcomes are sorted by their global `point.index`; the merge
-/// fails with [`Error::InvalidInput`] if the union has a duplicate or
-/// missing index — i.e. unless the shards came from one spec partitioned by
-/// a single `(count)` — so a successful merge *is* the proof that the union
-/// covers the unsharded sweep exactly. ([`merge_indexed`] is the same join
-/// for any item type that carries its global index; the `qre merge` CLI
-/// verb uses it to join shard NDJSON files record-by-record.)
-pub fn merge_sharded(
-    shards: impl IntoIterator<Item = Vec<SweepOutcome>>,
-) -> Result<Vec<SweepOutcome>> {
-    merge_indexed(shards, |o| o.point.index)
-}
-
-/// The validating shard join over any item type: flatten the per-shard
-/// vectors, sort by each item's global index (`index_of`), and verify the
-/// union is exactly `0..n` — a duplicate or missing index fails with
-/// [`Error::InvalidInput`] naming the first gap. [`merge_sharded`] is this
-/// join specialized to [`SweepOutcome`]s; the CLI's `qre merge` verb applies
-/// it to raw NDJSON records via their `"index"` field.
+/// (possibly in a different process), collect the per-shard item vectors,
+/// and merge. The items are flattened and sorted by each one's global index
+/// (`index_of`; `|o| o.point.index` for [`SweepOutcome`]s), and the union
+/// must be exactly `0..n`: a duplicate or missing index fails with
+/// [`Error::InvalidInput`] naming the first gap, so a successful merge *is*
+/// the proof that the shards cover the unsharded sweep exactly. The CLI's
+/// `qre merge` verb validates its plan of NDJSON records through the same
+/// join.
 pub fn merge_indexed<T>(
     shards: impl IntoIterator<Item = Vec<T>>,
     index_of: impl Fn(&T) -> usize,
@@ -522,21 +371,6 @@ pub fn merge_indexed<T>(
         }
     }
     Ok(merged)
-}
-
-/// Split batch outcomes into ordered successes, keeping the first error
-/// together with the index of the item that produced it.
-///
-/// Convenience for callers that want all-or-nothing semantics on top of the
-/// in-place error reporting; the index identifies the failing request for
-/// every error kind, not just message-bearing ones.
-pub fn collect_results(
-    outcomes: Vec<BatchOutcome>,
-) -> std::result::Result<Vec<EstimationResult>, (usize, Error)> {
-    outcomes
-        .into_iter()
-        .map(|o| o.outcome.map_err(|e| (o.index, e)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -558,45 +392,12 @@ mod tests {
 
     fn request(t: u64) -> EstimateRequest {
         EstimateRequest::builder()
-            .label(format!("t={t}"))
             .counts(counts(t))
             .profile(PhysicalQubit::qubit_gate_ns_e3())
             .qec(QecSchemeKind::SurfaceCode)
             .total_error_budget(1e-3)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn batch_outcomes_preserve_input_order() {
-        let requests: Vec<EstimateRequest> = (1..=16).map(|i| request(i * 1_000)).collect();
-        let engine = Estimator::new();
-        let outcomes = engine.estimate_batch(&requests);
-        assert_eq!(outcomes.len(), 16);
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.index, i);
-            assert_eq!(o.label, format!("t={}", (i + 1) * 1_000));
-            let expected = requests[i].estimation.estimate().unwrap();
-            assert_eq!(*o.outcome.as_ref().unwrap(), expected);
-        }
-    }
-
-    #[test]
-    fn batch_reports_errors_in_place() {
-        let mut bad = request(1_000);
-        bad.estimation.constraints.max_duration_ns = Some(1.0);
-        let requests = vec![request(1_000), bad, request(2_000)];
-        let engine = Estimator::new();
-        let outcomes = engine.estimate_batch(&requests);
-        assert!(outcomes[0].outcome.is_ok());
-        assert!(matches!(
-            outcomes[1].outcome,
-            Err(Error::ConstraintViolated(_))
-        ));
-        assert!(outcomes[2].outcome.is_ok());
-        let (index, err) = collect_results(outcomes).unwrap_err();
-        assert_eq!(index, 1);
-        assert!(matches!(err, Error::ConstraintViolated(_)));
     }
 
     #[test]
@@ -616,27 +417,6 @@ mod tests {
         assert!(warm.hits >= 6);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-        }
-    }
-
-    #[test]
-    fn batch_observer_sees_every_outcome_exactly_once() {
-        let requests: Vec<EstimateRequest> = (1..=12).map(|i| request(i * 2_000)).collect();
-        let engine = Estimator::new();
-        let mut streamed: Vec<BatchOutcome> = Vec::new();
-        engine.estimate_batch_with(&requests, |o| streamed.push(o));
-        assert_eq!(streamed.len(), requests.len());
-        let mut indices: Vec<usize> = streamed.iter().map(|o| o.index).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, (0..requests.len()).collect::<Vec<_>>());
-        // Each streamed outcome is bit-identical to the collecting API's.
-        let collected = engine.estimate_batch(&requests);
-        for o in &streamed {
-            assert_eq!(o.label, collected[o.index].label);
-            assert_eq!(
-                o.outcome.as_ref().unwrap(),
-                collected[o.index].outcome.as_ref().unwrap()
-            );
         }
     }
 
@@ -665,17 +445,6 @@ mod tests {
         // The stream ran on the engine's shared cache: no re-searches.
         let stats = engine.cache_stats();
         assert!(stats.hits >= collected.len() as u64);
-    }
-
-    #[test]
-    fn batch_stream_yields_all_indices() {
-        let requests: Vec<EstimateRequest> = (1..=8).map(|i| request(i * 3_000)).collect();
-        let engine = Estimator::new();
-        let stream = engine.estimate_batch_stream(requests.clone());
-        assert_eq!(stream.total(), 8);
-        let mut indices: Vec<usize> = stream.map(|o| o.index).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -727,7 +496,7 @@ mod tests {
             .iter()
             .map(|shard| Estimator::new().sweep(shard).unwrap())
             .collect();
-        let merged = merge_sharded(per_shard).unwrap();
+        let merged = merge_indexed(per_shard, |o| o.point.index).unwrap();
         assert_eq!(merged.len(), full.len());
         for (m, f) in merged.iter().zip(&full) {
             assert_eq!(m.point.index, f.point.index);
@@ -747,12 +516,12 @@ mod tests {
         let c = engine.sweep(&shards[2]).unwrap();
 
         // Missing middle shard: the gap is named.
-        let err = merge_sharded(vec![a.clone(), c.clone()]).unwrap_err();
+        let err = merge_indexed(vec![a.clone(), c.clone()], |o| o.point.index).unwrap_err();
         assert!(err.to_string().contains("expected item index 2"), "{err}");
 
         // Duplicate shard: the repeat is caught too.
         let b = engine.sweep(&shards[1]).unwrap();
-        assert!(merge_sharded(vec![a.clone(), a, b, c]).is_err());
+        assert!(merge_indexed(vec![a.clone(), a, b, c], |o| o.point.index).is_err());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The physical resource estimation pipeline (paper Section III), including
 //! the constraint resolution of Section IV-C.4.
 //!
-//! [`PhysicalResourceEstimation::estimate`] performs the full flow:
+//! [`crate::Estimator::estimate`] runs an [`EstimateRequest`] through the
+//! full flow:
 //!
 //! 1. layout (Section III-B): post-layout qubits, algorithmic depth, T-state
 //!    demand,
@@ -17,15 +18,12 @@
 //! so the solver iterates these stages to a fixed point (bounded, since the
 //! distance is monotone and bounded).
 
-use crate::budget::ErrorBudget;
 use crate::cache::FactoryCache;
 use crate::error::{Error, Result};
 use crate::layout::{layout, LogicalLayout};
-use crate::physical_qubit::PhysicalQubit;
-use crate::qec::QecScheme;
+use crate::request::EstimateRequest;
 use crate::result::{EstimationResult, PhysicalCounts, ResourceBreakdown};
-use crate::tfactory::{TFactory, TFactoryBuilder};
-use qre_circuit::LogicalCounts;
+use crate::tfactory::TFactory;
 
 /// Component-level constraints (paper Section IV-C.4).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -72,37 +70,11 @@ impl Constraints {
     }
 }
 
-/// The assembled estimation task.
-#[derive(Debug, Clone)]
-pub struct PhysicalResourceEstimation {
-    /// Pre-layout logical counts of the algorithm.
-    pub counts: LogicalCounts,
-    /// Physical qubit model.
-    pub qubit: PhysicalQubit,
-    /// QEC scheme.
-    pub scheme: QecScheme,
-    /// Partitioned error budget.
-    pub budget: ErrorBudget,
-    /// Component constraints.
-    pub constraints: Constraints,
-    /// T-factory search configuration.
-    pub factory_builder: TFactoryBuilder,
-}
-
-impl PhysicalResourceEstimation {
-    /// Run the full estimation flow with a transient factory cache.
-    ///
-    /// Repeated or related estimates should run through a shared
-    /// [`crate::Estimator`] (or call [`Self::estimate_with`] with a shared
-    /// [`FactoryCache`]) so the expensive distillation-pipeline search is
-    /// amortized across them.
-    pub fn estimate(&self) -> Result<EstimationResult> {
-        self.estimate_with(&FactoryCache::new())
-    }
-
+impl EstimateRequest {
     /// Run the full estimation flow, memoizing the T-factory design search
-    /// through `cache`.
-    pub fn estimate_with(&self, cache: &FactoryCache) -> Result<EstimationResult> {
+    /// through `cache` (the step behind every [`crate::Estimator`] entry
+    /// point).
+    pub(crate) fn estimate_with(&self, cache: &FactoryCache) -> Result<EstimationResult> {
         self.qubit.validate()?;
         self.constraints.validate()?;
         let lay = layout(&self.counts, self.budget.rotations)?;
@@ -342,7 +314,11 @@ fn standard_assumptions() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tfactory::default_distillation_units;
+    use crate::budget::ErrorBudget;
+    use crate::physical_qubit::PhysicalQubit;
+    use crate::qec::QecScheme;
+    use crate::tfactory::{default_distillation_units, TFactoryBuilder};
+    use qre_circuit::LogicalCounts;
 
     fn base_counts() -> LogicalCounts {
         LogicalCounts {
@@ -354,8 +330,8 @@ mod tests {
         }
     }
 
-    fn estimation(counts: LogicalCounts) -> PhysicalResourceEstimation {
-        PhysicalResourceEstimation {
+    fn estimation(counts: LogicalCounts) -> EstimateRequest {
+        EstimateRequest {
             counts,
             qubit: PhysicalQubit::qubit_gate_ns_e3(),
             scheme: QecScheme::surface_code_gate_based(),
@@ -365,9 +341,14 @@ mod tests {
         }
     }
 
+    /// One estimate through a fresh engine.
+    fn run(request: &EstimateRequest) -> Result<EstimationResult> {
+        crate::Estimator::new().estimate(request)
+    }
+
     #[test]
     fn basic_estimate_is_consistent() {
-        let r = estimation(base_counts()).estimate().unwrap();
+        let r = run(&estimation(base_counts())).unwrap();
         let b = &r.breakdown;
         // Layout identity.
         assert_eq!(b.algorithmic_logical_qubits, 2 * 100 + 29 + 1);
@@ -408,7 +389,7 @@ mod tests {
             measurement_count: 1_000,
             ..Default::default()
         };
-        let r = estimation(counts).estimate().unwrap();
+        let r = run(&estimation(counts)).unwrap();
         assert!(r.t_factory.is_none());
         assert_eq!(r.breakdown.num_t_factories, 0);
         assert_eq!(r.breakdown.physical_qubits_for_t_factories, 0);
@@ -449,12 +430,12 @@ mod tests {
 
     #[test]
     fn max_t_factories_trades_qubits_for_runtime() {
-        let base = estimation(base_counts()).estimate().unwrap();
+        let base = run(&estimation(base_counts())).unwrap();
         let unconstrained = base.breakdown.num_t_factories;
         assert!(unconstrained > 1, "test needs a multi-factory baseline");
         let mut capped_est = estimation(base_counts());
         capped_est.constraints.max_t_factories = Some(1);
-        let capped = capped_est.estimate().unwrap();
+        let capped = run(&capped_est).unwrap();
         assert_eq!(capped.breakdown.num_t_factories, 1);
         assert!(
             capped.physical_counts.runtime_ns >= base.physical_counts.runtime_ns,
@@ -468,10 +449,10 @@ mod tests {
 
     #[test]
     fn logical_depth_factor_stretches_runtime() {
-        let base = estimation(base_counts()).estimate().unwrap();
+        let base = run(&estimation(base_counts())).unwrap();
         let mut slow = estimation(base_counts());
         slow.constraints.logical_depth_factor = Some(4.0);
-        let slow = slow.estimate().unwrap();
+        let slow = run(&slow).unwrap();
         assert!(slow.breakdown.num_cycles >= 4 * base.breakdown.algorithmic_depth);
         assert!(slow.physical_counts.runtime_ns > base.physical_counts.runtime_ns * 3.0);
         // Fewer (or equal) factories are needed at the slower clock.
@@ -482,7 +463,7 @@ mod tests {
     fn max_duration_violation_reported() {
         let mut est = estimation(base_counts());
         est.constraints.max_duration_ns = Some(1.0); // 1 ns: impossible
-        match est.estimate() {
+        match run(&est) {
             Err(Error::ConstraintViolated(msg)) => assert!(msg.contains("maxDuration")),
             other => panic!("expected ConstraintViolated, got {other:?}"),
         }
@@ -490,14 +471,14 @@ mod tests {
 
     #[test]
     fn max_physical_qubits_trades_factories() {
-        let base = estimation(base_counts()).estimate().unwrap();
+        let base = run(&estimation(base_counts())).unwrap();
         assert!(base.breakdown.num_t_factories > 1);
         // Force at least one factory to be traded away; keep generous
         // headroom so a stretch-induced distance bump stays feasible.
         let cap = base.physical_counts.physical_qubits - 1;
         let mut est = estimation(base_counts());
         est.constraints.max_physical_qubits = Some(cap);
-        let capped = est.estimate().unwrap();
+        let capped = run(&est).unwrap();
         assert!(capped.physical_counts.physical_qubits <= cap);
         assert!(capped.breakdown.num_t_factories < base.breakdown.num_t_factories);
         assert!(capped.physical_counts.runtime_ns >= base.physical_counts.runtime_ns);
@@ -507,7 +488,7 @@ mod tests {
     fn impossible_qubit_cap_reported() {
         let mut est = estimation(base_counts());
         est.constraints.max_physical_qubits = Some(10);
-        match est.estimate() {
+        match run(&est) {
             Err(Error::ConstraintViolated(_)) => {}
             other => panic!("expected ConstraintViolated, got {other:?}"),
         }
@@ -525,7 +506,7 @@ mod tests {
         };
         let mut est = estimation(counts);
         est.budget = ErrorBudget::from_parts(1e-3, 0.5, 0.0).unwrap();
-        let r = est.estimate().unwrap();
+        let r = run(&est).unwrap();
         assert!(r.t_factory.is_none());
         assert!(r
             .assumptions
@@ -538,16 +519,57 @@ mod tests {
         let loose = {
             let mut e = estimation(base_counts());
             e.budget = ErrorBudget::from_total(1e-2).unwrap();
-            e.estimate().unwrap()
+            run(&e).unwrap()
         };
         let tight = {
             let mut e = estimation(base_counts());
             e.budget = ErrorBudget::from_total(1e-8).unwrap();
-            e.estimate().unwrap()
+            run(&e).unwrap()
         };
         assert!(tight.logical_qubit.code_distance > loose.logical_qubit.code_distance);
         assert!(tight.physical_counts.physical_qubits > loose.physical_counts.physical_qubits);
         assert!(tight.physical_counts.runtime_ns > loose.physical_counts.runtime_ns);
+    }
+
+    #[test]
+    fn tighter_budget_can_trade_factory_copies_for_qubits() {
+        // Tightening 1e-2 → 1e-3 raises the code distance (13 → 15) and so
+        // the runtime, and the copy count — a ceiling over the runtime —
+        // drops from 25 to 24. One copy saved outweighs the larger
+        // patches, so the tighter budget needs *fewer* physical qubits.
+        let counts = LogicalCounts {
+            num_qubits: 1,
+            ccz_count: 24_781,
+            ..Default::default()
+        };
+        let with_budget = |total: f64| {
+            let mut request = estimation(counts);
+            request.budget = ErrorBudget::from_total(total).unwrap();
+            run(&request).unwrap()
+        };
+        let (loose, tight) = (with_budget(1e-2), with_budget(1e-3));
+        assert_eq!(
+            (
+                loose.logical_qubit.code_distance,
+                tight.logical_qubit.code_distance
+            ),
+            (13, 15)
+        );
+        assert!(tight.physical_counts.runtime_ns > loose.physical_counts.runtime_ns);
+        assert_eq!(
+            (
+                loose.breakdown.num_t_factories,
+                tight.breakdown.num_t_factories
+            ),
+            (25, 24)
+        );
+        assert_eq!(
+            (
+                loose.physical_counts.physical_qubits,
+                tight.physical_counts.physical_qubits
+            ),
+            (777_028, 746_700)
+        );
     }
 
     #[test]
@@ -559,7 +581,7 @@ mod tests {
             measurement_count: 500,
             ..Default::default()
         };
-        let r = estimation(counts).estimate().unwrap();
+        let r = run(&estimation(counts)).unwrap();
         assert!(r.breakdown.t_states_per_rotation > 10);
         assert_eq!(
             r.breakdown.num_t_states,
@@ -579,7 +601,7 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_parser() {
-        let r = estimation(base_counts()).estimate().unwrap();
+        let r = run(&estimation(base_counts())).unwrap();
         let text = r.to_json().to_string_pretty();
         let doc = qre_json::parse(&text).unwrap();
         assert_eq!(

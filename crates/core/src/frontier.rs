@@ -3,11 +3,11 @@
 //! Beyond the single default estimate, the tool can explore the trade-off
 //! the paper's Section IV-C.4 describes: slowing the computation down lets
 //! fewer T-factory copies feed the same T-state demand, shrinking the qubit
-//! footprint at the cost of runtime. [`estimate_frontier`] sweeps the
+//! footprint at the cost of runtime. [`Estimator::frontier`] sweeps the
 //! factory-copy cap from the unconstrained optimum down to one copy and
 //! returns the Pareto-optimal (physical qubits, runtime) points.
 //!
-//! [`estimate_frontier_searched`] widens the search to the second design
+//! [`Estimator::frontier_searched`] widens the search to the second design
 //! axis the paper's Section IV-C.3 leaves free: the error-budget partition.
 //! A deterministic [`PartitionSearch`] grid of ε_log/ε_dis splits (ε_syn
 //! charged only when the program has rotations) is crossed with the cap
@@ -25,8 +25,8 @@
 use crate::budget::{ErrorBudget, PartitionSearch};
 use crate::engine::Estimator;
 use crate::error::Result;
-use crate::estimate::{Constraints, PhysicalResourceEstimation};
-use crate::request::{SweepScheme, SweepSpec};
+use crate::estimate::Constraints;
+use crate::request::{EstimateRequest, SweepScheme, SweepSpec};
 use crate::result::EstimationResult;
 
 /// One point on the qubit/runtime frontier.
@@ -41,138 +41,80 @@ pub struct FrontierPoint {
     pub result: EstimationResult,
 }
 
-/// Explore the qubit/runtime frontier with a transient engine.
+/// The fixed-partition frontier of `request` through `engine` (the
+/// implementation behind [`Estimator::frontier`]).
 ///
 /// Returns points sorted by descending physical qubits (i.e. ascending
 /// runtime), reduced to the Pareto frontier. For T-free programs the result
-/// is the single unconstrained estimate. Callers running several frontiers
-/// (or mixing frontiers with other estimates) should prefer
-/// [`Estimator::frontier`], which shares one factory cache across all of
-/// them.
-pub fn estimate_frontier(estimation: &PhysicalResourceEstimation) -> Result<Vec<FrontierPoint>> {
-    estimate_frontier_via(&Estimator::new(), estimation, |_| {})
-}
-
-/// Frontier exploration through a caller-owned engine (the implementation
-/// behind [`Estimator::frontier`] and [`Estimator::frontier_with`]).
-/// `on_point` observes each cap re-estimate in completion order, before the
-/// Pareto reduction drops dominated and failed points.
-pub(crate) fn estimate_frontier_via<F>(
+/// is the single unconstrained estimate.
+pub(crate) fn frontier(
     engine: &Estimator,
-    estimation: &PhysicalResourceEstimation,
-    on_point: F,
-) -> Result<Vec<FrontierPoint>>
-where
-    F: FnMut(&crate::engine::SweepOutcome),
-{
-    let mut on_point = on_point;
-    let base = estimation.estimate_with(engine.cache())?;
+    request: &EstimateRequest,
+) -> Result<Vec<FrontierPoint>> {
+    let base = engine.estimate(request)?;
     let max_factories = base.breakdown.num_t_factories;
     if max_factories <= 1 {
         return Ok(vec![FrontierPoint {
             max_t_factories: max_factories,
-            budget: estimation.budget,
+            budget: request.budget,
             result: base,
         }]);
     }
 
-    let caps = cap_ladder(max_factories);
-
     // The cap axis as a sweep over one scenario; infeasible caps report
-    // their error in place and are dropped below.
-    let spec = scenario_spec(estimation)
-        .budget(estimation.budget)
-        .constraint_axis(caps.iter().map(|&cap| Constraints {
-            max_t_factories: Some(cap),
-            ..estimation.constraints
-        }));
-    // The cap axis is the only multi-valued axis, so a sweep item's
-    // expansion index is its cap index; stream outcomes to the observer and
-    // stitch them back by that index.
-    let mut slots: Vec<Option<crate::engine::SweepOutcome>> =
-        (0..caps.len()).map(|_| None).collect();
-    engine.sweep_with(&spec, |outcome| {
-        on_point(&outcome);
-        let index = outcome.point.index;
-        slots[index] = Some(outcome);
-    })?;
-
+    // their error in place and are dropped below. The cap axis is the only
+    // multi-valued axis, so the expansion order is the cap order.
+    let caps = cap_ladder(max_factories);
+    let spec = scenario_spec(request)
+        .budget(request.budget)
+        .constraint_axis(cap_constraints(request, &caps));
     let points: Vec<FrontierPoint> = caps
         .into_iter()
-        .zip(slots)
+        .zip(engine.sweep(&spec)?)
         .filter_map(|(cap, item)| {
-            item.expect("every sweep item delivered exactly once")
-                .outcome
-                .ok()
-                .map(|result| FrontierPoint {
-                    max_t_factories: cap,
-                    budget: estimation.budget,
-                    result,
-                })
+            item.outcome.ok().map(|result| FrontierPoint {
+                max_t_factories: cap,
+                budget: request.budget,
+                result,
+            })
         })
         .collect();
     Ok(pareto_reduce(points))
 }
 
-/// Explore the two-axis (budget partition × factory-copy cap) frontier with
-/// a transient engine.
+/// The two-axis (budget partition × factory-copy cap) frontier of `request`
+/// through `engine` (the implementation behind
+/// [`Estimator::frontier_searched`]).
 ///
-/// The candidate partitions come from `search`'s grid over the estimation's
-/// own total budget (the estimation's partition is always the first grid
+/// The candidate partitions come from `search`'s grid over the request's
+/// own total budget (the request's partition is always the first grid
 /// point); the cap axis is the union of every feasible partition's cap
 /// ladder, so the fixed-partition frontier's entire search space is a
 /// subset of this one and the result weakly dominates it point-for-point.
-/// Returns points in the same descending-qubits order as
-/// [`estimate_frontier`], each carrying the partition that produced it.
-/// Callers running several frontiers should prefer
-/// [`Estimator::frontier_searched`], which shares one factory cache.
-pub fn estimate_frontier_searched(
-    estimation: &PhysicalResourceEstimation,
+/// Returns points in the same descending-qubits order as [`frontier`], each
+/// carrying the partition that produced it.
+pub(crate) fn frontier_searched(
+    engine: &Estimator,
+    request: &EstimateRequest,
     search: &PartitionSearch,
 ) -> Result<Vec<FrontierPoint>> {
-    estimate_frontier_searched_via(&Estimator::new(), estimation, search, |_| {})
-}
-
-/// Two-axis frontier exploration through a caller-owned engine (the
-/// implementation behind [`Estimator::frontier_searched`]).
-///
-/// `on_point` observes every exploratory re-estimate in completion order:
-/// first the per-partition unconstrained base estimates (one sweep over the
-/// budget axis), then the full (partition × cap) product (a second sweep,
-/// budgets outer and caps inner). Indices restart between the two sweeps.
-pub(crate) fn estimate_frontier_searched_via<F>(
-    engine: &Estimator,
-    estimation: &PhysicalResourceEstimation,
-    search: &PartitionSearch,
-    on_point: F,
-) -> Result<Vec<FrontierPoint>>
-where
-    F: FnMut(&crate::engine::SweepOutcome),
-{
-    let mut on_point = on_point;
-    let has_rotations = estimation.counts.rotation_count > 0;
-    let budgets = search.grid(&estimation.budget, has_rotations);
+    let has_rotations = request.counts.rotation_count > 0;
+    let budgets = search.grid(&request.budget, has_rotations);
 
     // Phase 1: unconstrained base estimate per candidate partition, as one
     // budget-axis sweep — every partition family's factory design lands in
     // the shared cache before the two-axis product reuses it, and each
     // family's natural factory count sizes the cap axis below.
-    let base_spec = scenario_spec(estimation)
+    let base_spec = scenario_spec(request)
         .budgets(budgets.iter().copied())
-        .constraint(estimation.constraints);
-    let mut bases: Vec<Option<Result<EstimationResult>>> =
-        (0..budgets.len()).map(|_| None).collect();
-    engine.sweep_with(&base_spec, |outcome| {
-        on_point(&outcome);
-        let index = outcome.point.index;
-        bases[index] = Some(outcome.outcome);
-    })?;
-    let bases: Vec<Result<EstimationResult>> = bases
+        .constraint(request.constraints);
+    let bases: Vec<_> = engine
+        .sweep(&base_spec)?
         .into_iter()
-        .map(|slot| slot.expect("every sweep item delivered exactly once"))
+        .map(|item| item.outcome)
         .collect();
 
-    // If no candidate partition is feasible, surface the estimation's own
+    // If no candidate partition is feasible, surface the request's own
     // partition's error — the same failure the fixed frontier reports.
     if bases.iter().all(|b| b.is_err()) {
         let first = bases.into_iter().next().expect("grid is never empty");
@@ -192,49 +134,47 @@ where
     caps.dedup();
 
     // Phase 2: the full (partition × cap) product as one two-axis sweep.
-    // Expansion is row-major with budgets outer and constraints inner, so a
-    // sweep item's index is `budget_idx * caps.len() + cap_idx`.
-    let spec = scenario_spec(estimation)
+    // Expansion is row-major with budgets outer and constraints inner, so
+    // the outcomes arrive as consecutive per-partition runs of the caps.
+    let spec = scenario_spec(request)
         .budgets(budgets.iter().copied())
-        .constraint_axis(caps.iter().map(|&cap| Constraints {
-            max_t_factories: Some(cap),
-            ..estimation.constraints
-        }));
-    let mut slots: Vec<Option<crate::engine::SweepOutcome>> =
-        (0..budgets.len() * caps.len()).map(|_| None).collect();
-    engine.sweep_with(&spec, |outcome| {
-        on_point(&outcome);
-        let index = outcome.point.index;
-        slots[index] = Some(outcome);
-    })?;
-
-    let mut points: Vec<FrontierPoint> = Vec::new();
-    for (b_idx, budget) in budgets.iter().enumerate() {
-        for (c_idx, &cap) in caps.iter().enumerate() {
-            let slot = slots[b_idx * caps.len() + c_idx]
-                .take()
-                .expect("every sweep item delivered exactly once");
-            if let Ok(result) = slot.outcome {
-                points.push(FrontierPoint {
-                    max_t_factories: cap,
-                    budget: *budget,
-                    result,
-                });
-            }
-        }
-    }
+        .constraint_axis(cap_constraints(request, &caps));
+    let outcomes = engine.sweep(&spec)?;
+    let points: Vec<FrontierPoint> = budgets
+        .iter()
+        .flat_map(|budget| caps.iter().map(move |&cap| (*budget, cap)))
+        .zip(outcomes)
+        .filter_map(|((budget, cap), item)| {
+            item.outcome.ok().map(|result| FrontierPoint {
+                max_t_factories: cap,
+                budget,
+                result,
+            })
+        })
+        .collect();
     Ok(pareto_reduce(points))
+}
+
+/// The cap axis: `request`'s constraints with each factory-copy cap in turn.
+fn cap_constraints<'a>(
+    request: &'a EstimateRequest,
+    caps: &'a [u64],
+) -> impl Iterator<Item = Constraints> + 'a {
+    caps.iter().map(|&cap| Constraints {
+        max_t_factories: Some(cap),
+        ..request.constraints
+    })
 }
 
 /// The scenario-under-sweep common to both frontier forms: one workload,
 /// profile, scheme, and factory-search configuration, axes added by the
 /// caller.
-fn scenario_spec(estimation: &PhysicalResourceEstimation) -> SweepSpec {
+fn scenario_spec(request: &EstimateRequest) -> SweepSpec {
     SweepSpec::new()
-        .workload("frontier", estimation.counts)
-        .profile(estimation.qubit.clone())
-        .scheme(SweepScheme::Custom(estimation.scheme.clone()))
-        .factory_builder(estimation.factory_builder.clone())
+        .workload("frontier", request.counts)
+        .profile(request.qubit.clone())
+        .scheme(SweepScheme::Custom(request.scheme.clone()))
+        .factory_builder(request.factory_builder.clone())
 }
 
 /// The factory-cap ladder from one copy up to `max_factories`: every value
@@ -331,8 +271,8 @@ mod tests {
     use crate::tfactory::TFactoryBuilder;
     use qre_circuit::LogicalCounts;
 
-    fn estimation() -> PhysicalResourceEstimation {
-        PhysicalResourceEstimation {
+    fn request() -> EstimateRequest {
+        EstimateRequest {
             counts: LogicalCounts {
                 num_qubits: 100,
                 t_count: 50_000,
@@ -350,7 +290,7 @@ mod tests {
 
     #[test]
     fn frontier_is_monotone() {
-        let frontier = estimate_frontier(&estimation()).unwrap();
+        let frontier = Estimator::new().frontier(&request()).unwrap();
         assert!(frontier.len() >= 2, "expected a real trade-off curve");
         for w in frontier.windows(2) {
             let (a, b) = (&w[0].result.physical_counts, &w[1].result.physical_counts);
@@ -367,15 +307,15 @@ mod tests {
 
     #[test]
     fn frontier_ends_at_single_factory() {
-        let frontier = estimate_frontier(&estimation()).unwrap();
+        let frontier = Estimator::new().frontier(&request()).unwrap();
         let last = frontier.last().unwrap();
         assert_eq!(last.result.breakdown.num_t_factories, 1);
     }
 
     #[test]
     fn frontier_contains_unconstrained_point() {
-        let base = estimation().estimate().unwrap();
-        let frontier = estimate_frontier(&estimation()).unwrap();
+        let base = Estimator::new().estimate(&request()).unwrap();
+        let frontier = Estimator::new().frontier(&request()).unwrap();
         let first = &frontier[0].result;
         assert_eq!(
             first.physical_counts.runtime_ns,
@@ -385,13 +325,13 @@ mod tests {
 
     #[test]
     fn t_free_program_has_singleton_frontier() {
-        let mut est = estimation();
+        let mut est = request();
         est.counts = LogicalCounts {
             num_qubits: 10,
             measurement_count: 100,
             ..Default::default()
         };
-        let frontier = estimate_frontier(&est).unwrap();
+        let frontier = Estimator::new().frontier(&est).unwrap();
         assert_eq!(frontier.len(), 1);
     }
 
@@ -440,29 +380,13 @@ mod tests {
     }
 
     #[test]
-    fn frontier_observer_sees_every_cap_outcome() {
-        let engine = Estimator::new();
-        let mut observed = Vec::new();
-        let frontier = estimate_frontier_via(&engine, &estimation(), |o| {
-            observed.push((o.point.index, o.outcome.is_ok()));
-        })
-        .unwrap();
-        // Every cap re-estimate is observed (pre-reduction), so at least as
-        // many outcomes as surviving frontier points, each exactly once.
-        assert!(observed.len() >= frontier.len());
-        let mut indices: Vec<usize> = observed.iter().map(|&(i, _)| i).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, (0..observed.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn searched_frontier_weakly_dominates_fixed() {
         let engine = Estimator::new();
-        let est = estimation();
-        let fixed = estimate_frontier_via(&engine, &est, |_| {}).unwrap();
-        let searched =
-            estimate_frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {})
-                .unwrap();
+        let est = request();
+        let fixed = engine.frontier(&est).unwrap();
+        let searched = engine
+            .frontier_searched(&est, &PartitionSearch::default())
+            .unwrap();
         for p in &fixed {
             let dominated = searched.iter().any(|q| {
                 q.result.physical_counts.physical_qubits <= p.result.physical_counts.physical_qubits
@@ -478,8 +402,10 @@ mod tests {
 
     #[test]
     fn searched_frontier_is_monotone_and_carries_partitions() {
-        let est = estimation();
-        let searched = estimate_frontier_searched(&est, &PartitionSearch::default()).unwrap();
+        let est = request();
+        let searched = Estimator::new()
+            .frontier_searched(&est, &PartitionSearch::default())
+            .unwrap();
         assert!(searched.len() >= 2);
         for w in searched.windows(2) {
             let (a, b) = (&w[0].result.physical_counts, &w[1].result.physical_counts);
@@ -501,12 +427,12 @@ mod tests {
         // cannot occur; the grid reclaims it, and the searched frontier's
         // extreme points must strictly beat the fixed frontier's.
         let engine = Estimator::new();
-        let est = estimation();
+        let est = request();
         assert_eq!(est.counts.rotation_count, 0);
-        let fixed = estimate_frontier_via(&engine, &est, |_| {}).unwrap();
-        let searched =
-            estimate_frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {})
-                .unwrap();
+        let fixed = engine.frontier(&est).unwrap();
+        let searched = engine
+            .frontier_searched(&est, &PartitionSearch::default())
+            .unwrap();
         let min_qubits = |f: &[FrontierPoint]| {
             f.iter()
                 .map(|p| p.result.physical_counts.physical_qubits)
@@ -529,7 +455,7 @@ mod tests {
 
     #[test]
     fn searched_frontier_handles_rotation_workloads() {
-        let mut est = estimation();
+        let mut est = request();
         est.counts = LogicalCounts {
             num_qubits: 80,
             t_count: 20_000,
@@ -538,7 +464,9 @@ mod tests {
             rotation_depth: 500,
             ..Default::default()
         };
-        let searched = estimate_frontier_searched(&est, &PartitionSearch::default()).unwrap();
+        let searched = Estimator::new()
+            .frontier_searched(&est, &PartitionSearch::default())
+            .unwrap();
         assert!(!searched.is_empty());
         for p in &searched {
             assert!(
@@ -550,50 +478,22 @@ mod tests {
 
     #[test]
     fn searched_frontier_singleton_for_t_free_program() {
-        let mut est = estimation();
+        let mut est = request();
         est.counts = LogicalCounts {
             num_qubits: 10,
             measurement_count: 100,
             ..Default::default()
         };
-        let searched = estimate_frontier_searched(&est, &PartitionSearch::default()).unwrap();
+        let searched = Estimator::new()
+            .frontier_searched(&est, &PartitionSearch::default())
+            .unwrap();
         // Partitions differ only in slices a T-free program never spends,
         // except ε_log — the Pareto set collapses to the best logical slice.
         assert_eq!(searched.len(), 1);
-        let fixed = estimate_frontier(&est).unwrap();
+        let fixed = Estimator::new().frontier(&est).unwrap();
         assert!(
             searched[0].result.physical_counts.physical_qubits
                 <= fixed[0].result.physical_counts.physical_qubits
         );
-    }
-
-    #[test]
-    fn searched_frontier_observer_sees_both_phases() {
-        let engine = Estimator::new();
-        let mut observed = 0usize;
-        let est = estimation();
-        let grid_len = PartitionSearch::default().grid(&est.budget, false).len();
-        let searched =
-            estimate_frontier_searched_via(&engine, &est, &PartitionSearch::default(), |_| {
-                observed += 1;
-            })
-            .unwrap();
-        // Phase 1 contributes one outcome per grid partition; phase 2 the
-        // full (partition × cap) product.
-        assert!(observed > grid_len);
-        assert_eq!((observed - grid_len) % grid_len, 0);
-        assert!(searched.len() <= observed);
-    }
-
-    #[test]
-    fn engine_frontier_matches_free_function() {
-        let engine = Estimator::new();
-        let via_engine = engine.frontier_of(&estimation()).unwrap();
-        let via_free = estimate_frontier(&estimation()).unwrap();
-        assert_eq!(via_engine.len(), via_free.len());
-        for (a, b) in via_engine.iter().zip(&via_free) {
-            assert_eq!(a.max_t_factories, b.max_t_factories);
-            assert_eq!(a.result, b.result);
-        }
     }
 }

@@ -18,18 +18,18 @@
 //! 5. **Totals and rQOPS** ([`EstimationResult`]): physical qubits, runtime,
 //!    and reliable quantum operations per second (Section III-E).
 //!
-//! The centre of the API is the [`Estimator`] engine: it owns a memoized
-//! T-factory design cache and executes single requests
-//! ([`Estimator::estimate`]), job arrays ([`Estimator::estimate_batch`]),
-//! declared cartesian sweeps ([`Estimator::sweep`] over a [`SweepSpec`]),
-//! and trade-off frontiers ([`Estimator::frontier`]) — batches run in
-//! parallel with order-preserving, per-item outcomes. Every batch API also
-//! has a *streamed* form delivering outcomes in completion order: observer
-//! callbacks ([`Estimator::estimate_batch_with`], [`Estimator::sweep_with`],
-//! [`Estimator::frontier_with`]) and background-thread iterators
-//! ([`Estimator::estimate_batch_stream`], [`Estimator::sweep_stream`]).
-//! [`EstimationJob`] is the one-shot convenience wrapper; power users drive
-//! [`PhysicalResourceEstimation`] directly.
+//! The centre of the API is the [`Estimator`] engine, the one way to run
+//! an estimate. An [`EstimateRequest`] (built with
+//! [`EstimateRequest::builder`]) is one scenario: counts, hardware profile,
+//! QEC scheme, error budget, and constraints. The engine owns a memoized
+//! T-factory design cache and runs single requests
+//! ([`Estimator::estimate`]), their trade-off frontiers
+//! ([`Estimator::frontier`], and [`Estimator::frontier_searched`] over the
+//! error-budget partition too), and declared cartesian sweeps over a
+//! [`SweepSpec`] — collected in expansion order ([`Estimator::sweep`]),
+//! handed to an observer in completion order ([`Estimator::sweep_with`]),
+//! or yielded by a background-thread iterator ([`Estimator::sweep_stream`]).
+//! Sweep items run in parallel with per-item outcomes.
 //!
 //! The engine's memoized T-factory design store ([`FactoryCache`]) can be
 //! shared process-wide ([`FactoryCache::scoped`] views with exact per-scope
@@ -37,7 +37,7 @@
 //! and persisted across processes ([`FactoryCache::save`] /
 //! [`FactoryCache::load`] versioned JSON snapshots). Sweeps partition
 //! across processes with [`SweepSpec::shard`] and re-join through the
-//! validating merges [`merge_sharded`] / [`merge_indexed`].
+//! validating merge [`merge_indexed`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -48,7 +48,6 @@ mod engine;
 mod error;
 mod estimate;
 mod frontier;
-mod job;
 mod layout;
 mod physical_qubit;
 mod qec;
@@ -58,14 +57,10 @@ mod tfactory;
 
 pub use budget::{ErrorBudget, PartitionSearch};
 pub use cache::{CacheStats, FactoryCache, SearchCounters, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
-pub use engine::{
-    collect_results, merge_indexed, merge_sharded, BatchOutcome, BatchStream, Estimator,
-    OutcomeStream, SweepOutcome, SweepStream,
-};
+pub use engine::{merge_indexed, Estimator, OutcomeStream, SweepOutcome, SweepStream};
 pub use error::{Error, Result};
-pub use estimate::{Constraints, PhysicalResourceEstimation};
-pub use frontier::{estimate_frontier, estimate_frontier_searched, FrontierPoint};
-pub use job::{EstimationJob, EstimationJobBuilder};
+pub use estimate::Constraints;
+pub use frontier::FrontierPoint;
 pub use layout::{layout, post_layout_logical_qubits, t_states_per_rotation, LogicalLayout};
 pub use physical_qubit::{InstructionSet, PhysicalQubit};
 pub use qec::{DistanceRow, DistanceTable, LogicalQubit, QecScheme, QecSchemeKind};

@@ -7,8 +7,7 @@
 //! work (the service's job arrays, Section IV-A). This module defines the
 //! inputs:
 //!
-//! * [`EstimateRequest`] — one fully resolved scenario (a labelled
-//!   [`PhysicalResourceEstimation`]), assembled through
+//! * [`EstimateRequest`] — one fully resolved scenario, assembled through
 //!   [`EstimateRequestBuilder`],
 //! * [`SweepSpec`] — declared axes (workloads × hardware profiles × QEC
 //!   schemes × error budgets × constraints) whose cartesian product the
@@ -19,33 +18,35 @@
 
 use crate::budget::ErrorBudget;
 use crate::error::{Error, Result};
-use crate::estimate::{Constraints, PhysicalResourceEstimation};
+use crate::estimate::Constraints;
 use crate::physical_qubit::{InstructionSet, PhysicalQubit};
 use crate::qec::{QecScheme, QecSchemeKind};
 use crate::tfactory::{DistillationUnit, TFactoryBuilder};
 use qre_circuit::LogicalCounts;
 
-/// One fully resolved estimation scenario.
+/// One fully resolved estimation scenario — the job-submission shape of
+/// paper Section IV-A. Run it through [`crate::Estimator::estimate`] (or
+/// [`crate::Estimator::frontier`] for its qubit/runtime trade-off curve).
 #[derive(Debug, Clone)]
 pub struct EstimateRequest {
-    /// Free-form label echoed into batch outcomes (may be empty).
-    pub label: String,
-    /// The assembled estimation task.
-    pub estimation: PhysicalResourceEstimation,
+    /// Pre-layout logical counts of the algorithm.
+    pub counts: LogicalCounts,
+    /// Physical qubit model.
+    pub qubit: PhysicalQubit,
+    /// QEC scheme.
+    pub scheme: QecScheme,
+    /// Partitioned error budget.
+    pub budget: ErrorBudget,
+    /// Component constraints.
+    pub constraints: Constraints,
+    /// T-factory search configuration.
+    pub factory_builder: TFactoryBuilder,
 }
 
 impl EstimateRequest {
     /// Start building a request.
     pub fn builder() -> EstimateRequestBuilder {
         EstimateRequestBuilder::default()
-    }
-
-    /// Wrap an already-assembled estimation task.
-    pub fn from_estimation(estimation: PhysicalResourceEstimation) -> Self {
-        EstimateRequest {
-            label: String::new(),
-            estimation,
-        }
     }
 }
 
@@ -72,7 +73,6 @@ enum BudgetChoice {
 /// — the job-submission shape of paper Section IV-A.
 #[derive(Debug, Clone, Default)]
 pub struct EstimateRequestBuilder {
-    label: Option<String>,
     counts: Option<LogicalCounts>,
     profile: Option<PhysicalQubit>,
     qec: Option<QecChoice>,
@@ -83,12 +83,6 @@ pub struct EstimateRequestBuilder {
 }
 
 impl EstimateRequestBuilder {
-    /// Label echoed into batch outcomes.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
-        self
-    }
-
     /// The algorithm, as pre-layout logical counts (Section IV-B.3; counts
     /// from the circuit tracer or QIR front end plug in here too).
     pub fn counts(mut self, counts: LogicalCounts) -> Self {
@@ -209,15 +203,12 @@ impl EstimateRequestBuilder {
             factory_builder.max_rounds = rounds;
         }
         Ok(EstimateRequest {
-            label: self.label.unwrap_or_default(),
-            estimation: PhysicalResourceEstimation {
-                counts,
-                qubit,
-                scheme,
-                budget,
-                constraints: self.constraints,
-                factory_builder,
-            },
+            counts,
+            qubit,
+            scheme,
+            budget,
+            constraints: self.constraints,
+            factory_builder,
         })
     }
 }
@@ -479,7 +470,7 @@ impl SweepSpec {
     /// expansion: `spec.shard(n)[i]` equals `spec.shard_of(i, n)`. Shards
     /// beyond the item count come back empty ([`SweepSpec::len`] of 0), so
     /// `count` may exceed the number of expanded items. The join side is
-    /// [`crate::merge_sharded`] in-process, or the `qre merge` CLI verb
+    /// [`crate::merge_indexed`] in-process, or the `qre merge` CLI verb
     /// over the shard sessions' NDJSON output files.
     pub fn shard(&self, count: usize) -> Result<Vec<SweepSpec>> {
         (0..count)
@@ -506,13 +497,34 @@ impl SweepSpec {
     }
 
     /// Number of items the full cartesian product expands to, ignoring any
-    /// shard restriction.
+    /// shard restriction. Saturates at `usize::MAX` when the axis product
+    /// overflows; such a spec fails at expansion.
     pub fn total_len(&self) -> usize {
-        self.workloads.len()
-            * self.profiles.len()
-            * self.schemes.len().max(1)
-            * self.budgets.len().max(1)
-            * self.constraints.len().max(1)
+        self.checked_total_len().unwrap_or(usize::MAX)
+    }
+
+    /// The axis product, or [`Error::InvalidInput`] naming the axis lengths
+    /// when it overflows `usize`.
+    fn checked_total_len(&self) -> Result<usize> {
+        let axes = [
+            ("workloads", self.workloads.len()),
+            ("profiles", self.profiles.len()),
+            ("schemes", self.schemes.len().max(1)),
+            ("budgets", self.budgets.len().max(1)),
+            ("constraints", self.constraints.len().max(1)),
+        ];
+        axes.iter()
+            .try_fold(1usize, |product, &(_, len)| product.checked_mul(len))
+            .ok_or_else(|| {
+                let lengths: Vec<String> = axes
+                    .iter()
+                    .map(|(axis, len)| format!("{len} {axis}"))
+                    .collect();
+                Error::InvalidInput(format!(
+                    "sweep axes ({}) expand to more items than fit in a usize",
+                    lengths.join(" × ")
+                ))
+            })
     }
 
     /// `true` when a mandatory axis is empty or the shard's block is empty.
@@ -521,12 +533,13 @@ impl SweepSpec {
     }
 
     /// Expand the cartesian product into per-item coordinates and assembled
-    /// estimation tasks. Item-level assembly failures (e.g. an incompatible
+    /// requests. Item-level assembly failures (e.g. an incompatible
     /// scheme/profile pairing) are reported in place; only an empty
-    /// mandatory axis fails the whole expansion. A sharded spec expands only
-    /// its own contiguous block, with every [`SweepPoint`] keeping the index
-    /// it has in the full (unsharded) expansion.
-    pub(crate) fn expand(&self) -> Result<Vec<(SweepPoint, Result<PhysicalResourceEstimation>)>> {
+    /// mandatory axis, or an axis product that overflows `usize`, fails the
+    /// whole expansion before any item is assembled. A sharded spec expands
+    /// only its own contiguous block, with every [`SweepPoint`] keeping the
+    /// index it has in the full (unsharded) expansion.
+    pub(crate) fn expand(&self) -> Result<Vec<(SweepPoint, Result<EstimateRequest>)>> {
         if self.workloads.is_empty() {
             return Err(Error::InvalidInput(
                 "sweep needs at least one workload".into(),
@@ -560,9 +573,10 @@ impl SweepSpec {
             &self.constraints
         };
 
+        let total = self.checked_total_len()?;
         let range = match self.shard {
-            Some(shard) => shard.range(self.total_len()),
-            None => 0..self.total_len(),
+            Some(shard) => shard.range(total),
+            None => 0..total,
         };
         let mut next_index = 0usize;
         let mut items = Vec::with_capacity(range.len());
@@ -591,7 +605,7 @@ impl SweepSpec {
                             let estimation = resolved
                                 .clone()
                                 .and_then(|scheme| validated_budget(budget).map(|b| (scheme, b)))
-                                .map(|(scheme, budget)| PhysicalResourceEstimation {
+                                .map(|(scheme, budget)| EstimateRequest {
                                     counts: *counts,
                                     qubit: qubit.clone(),
                                     scheme,
@@ -808,9 +822,144 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_axis_product_fails_at_expansion() {
+        // Five axes of 8,192 entries make 2^65 items. An unchecked product
+        // wraps to 0 in release builds, and expansion would then walk every
+        // index without producing an item; it must fail up front instead.
+        let n = 8_192;
+        let spec = SweepSpec {
+            workloads: (0..n).map(|i| (format!("w{i}"), counts())).collect(),
+            profiles: vec![PhysicalQubit::qubit_gate_ns_e3(); n],
+            schemes: vec![SweepScheme::ProfileDefault; n],
+            budgets: vec![ErrorBudget::from_total(1e-3).unwrap(); n],
+            constraints: vec![Constraints::default(); n],
+            ..SweepSpec::new()
+        };
+        assert_eq!(spec.total_len(), usize::MAX, "the item count saturates");
+        let engine = crate::Estimator::new();
+        let started = std::time::Instant::now();
+        let err = engine.sweep(&spec).unwrap_err();
+        assert!(matches!(err, Error::InvalidInput(_)), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("8192 workloads"), "{message}");
+        assert!(message.contains("8192 constraints"), "{message}");
+        assert!(engine.sweep_with(&spec, |_| {}).is_err());
+        assert!(engine.sweep_stream(&spec).is_err());
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "rejection took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(engine.cache_stats().misses, 0, "no item ran");
+    }
+
+    fn job_counts() -> LogicalCounts {
+        LogicalCounts {
+            num_qubits: 64,
+            t_count: 5_000,
+            ccz_count: 1_000,
+            measurement_count: 2_000,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn builder_requires_all_mandatory_fields() {
+        assert!(EstimateRequest::builder().build().is_err());
+        assert!(EstimateRequest::builder()
+            .counts(job_counts())
+            .build()
+            .is_err());
+        assert!(EstimateRequest::builder()
+            .counts(job_counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .build()
+            .is_err());
+        assert!(EstimateRequest::builder()
+            .counts(job_counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec(QecSchemeKind::SurfaceCode)
+            .build()
+            .is_err());
+        assert!(EstimateRequest::builder()
+            .counts(job_counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec(QecSchemeKind::SurfaceCode)
+            .total_error_budget(1e-3)
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn floquet_on_gate_based_rejected_at_build() {
+        let err = EstimateRequest::builder()
+            .counts(job_counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec(QecSchemeKind::FloquetCode)
+            .total_error_budget(1e-3)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidInput(_)));
+    }
+
+    #[test]
+    fn end_to_end_with_constraints() {
+        let request = EstimateRequest::builder()
+            .counts(job_counts())
+            .profile(PhysicalQubit::qubit_maj_ns_e4())
+            .qec(QecSchemeKind::FloquetCode)
+            .total_error_budget(1e-4)
+            .max_t_factories(2)
+            .build()
+            .unwrap();
+        let r = crate::Estimator::new().estimate(&request).unwrap();
+        assert!(r.breakdown.num_t_factories <= 2);
+        assert!(r.physical_counts.rqops > 0.0);
+    }
+
+    #[test]
+    fn frontier_of_a_built_request() {
+        let request = EstimateRequest::builder()
+            .counts(job_counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec(QecSchemeKind::SurfaceCode)
+            .total_error_budget(1e-3)
+            .build()
+            .unwrap();
+        let frontier = crate::Estimator::new().frontier(&request).unwrap();
+        assert!(!frontier.is_empty());
+    }
+
+    #[test]
+    fn custom_scheme_request() {
+        let request = EstimateRequest::builder()
+            .counts(job_counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec_custom(QecScheme::surface_code_gate_based())
+            .error_budget_parts(1e-4, 1e-4, 0.0)
+            .build()
+            .unwrap();
+        let r = crate::Estimator::new().estimate(&request).unwrap();
+        assert_eq!(r.qec_scheme.name, "surface_code");
+        assert_eq!(r.error_budget.rotations, 0.0);
+    }
+
+    #[test]
+    fn invalid_factory_rounds_rejected() {
+        let err = EstimateRequest::builder()
+            .counts(job_counts())
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .qec(QecSchemeKind::SurfaceCode)
+            .total_error_budget(1e-3)
+            .max_factory_rounds(0)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidInput(_)));
+    }
+
+    #[test]
     fn request_builder_matches_job_semantics() {
         let req = EstimateRequest::builder()
-            .label("demo")
             .counts(counts())
             .profile(PhysicalQubit::qubit_gate_ns_e3())
             .qec(QecSchemeKind::SurfaceCode)
@@ -818,9 +967,8 @@ mod tests {
             .max_t_factories(2)
             .build()
             .unwrap();
-        assert_eq!(req.label, "demo");
-        assert_eq!(req.estimation.constraints.max_t_factories, Some(2));
-        let r = req.estimation.estimate().unwrap();
+        assert_eq!(req.constraints.max_t_factories, Some(2));
+        let r = crate::Estimator::new().estimate(&req).unwrap();
         assert!(r.breakdown.num_t_factories <= 2);
     }
 }

@@ -9,7 +9,7 @@
 
 use qre::circuit::LogicalCounts;
 use qre::estimator::{
-    DistillationUnit, EstimationJob, HardwareProfile, InstructionSet, LogicalUnitSpec,
+    DistillationUnit, EstimateRequest, Estimator, HardwareProfile, InstructionSet, LogicalUnitSpec,
     PhysicalUnitSpec, QecScheme,
 };
 use qre::expr::Formula;
@@ -67,16 +67,18 @@ fn main() {
         .measurements(100_000)
         .build();
 
-    let job = EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(counts)
         .profile(qubit)
         .qec_custom(scheme)
         .distillation_units(vec![nine_to_one])
         .total_error_budget(1e-3)
         .build()
-        .expect("valid job");
+        .expect("valid request");
 
-    let result = job.estimate().expect("feasible estimate");
+    let result = Estimator::new()
+        .estimate(&request)
+        .expect("feasible estimate");
     println!("{}", result.to_report());
 
     let factory = result.t_factory.as_ref().expect("needs distillation");

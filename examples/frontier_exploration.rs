@@ -8,7 +8,7 @@
 
 use qre::circuit::LogicalCounts;
 use qre::estimator::{
-    format_duration_ns, group_digits, EstimationJob, HardwareProfile, QecSchemeKind,
+    format_duration_ns, group_digits, EstimateRequest, Estimator, HardwareProfile, QecSchemeKind,
 };
 
 fn main() {
@@ -19,15 +19,17 @@ fn main() {
         .measurements(500_000)
         .build();
 
-    let job = EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(counts)
         .profile(HardwareProfile::qubit_gate_ns_e3())
         .qec(QecSchemeKind::SurfaceCode)
         .total_error_budget(1e-3)
         .build()
-        .expect("valid job");
+        .expect("valid request");
 
-    let frontier = job.estimate_frontier().expect("feasible frontier");
+    let frontier = Estimator::new()
+        .frontier(&request)
+        .expect("feasible frontier");
     println!(
         "Qubit/runtime frontier ({} Pareto points)\n",
         frontier.len()

@@ -8,8 +8,8 @@
 
 use qre::arith::{multiplication_counts, MulAlgorithm};
 use qre::estimator::{
-    format_duration_ns, format_sci, group_digits, EstimationJob, HardwareProfile, InstructionSet,
-    QecSchemeKind,
+    format_duration_ns, format_sci, group_digits, EstimateRequest, Estimator, HardwareProfile,
+    InstructionSet, QecSchemeKind,
 };
 
 fn main() {
@@ -22,6 +22,7 @@ fn main() {
     );
     println!("{}", "-".repeat(82));
 
+    let engine = Estimator::new();
     for profile in HardwareProfile::default_profiles() {
         // The paper's Figure 4 pairing: surface code for gate-based
         // hardware, floquet code for Majorana hardware.
@@ -29,14 +30,14 @@ fn main() {
             InstructionSet::GateBased => QecSchemeKind::SurfaceCode,
             InstructionSet::Majorana => QecSchemeKind::FloquetCode,
         };
-        let job = EstimationJob::builder()
+        let request = EstimateRequest::builder()
             .counts(counts)
             .profile(profile.clone())
             .qec(kind)
             .total_error_budget(1e-4)
             .build()
-            .expect("valid job");
-        let r = job.estimate().expect("feasible estimate");
+            .expect("valid request");
+        let r = engine.estimate(&request).expect("feasible estimate");
         println!(
             "{:<18} {:<13} {:>4} {:>16} {:>14} {:>10}",
             profile.name,

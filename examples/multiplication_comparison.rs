@@ -8,7 +8,8 @@
 
 use qre::arith::{multiplication_counts, MulAlgorithm};
 use qre::estimator::{
-    format_duration_ns, format_sci, group_digits, EstimationJob, HardwareProfile, QecSchemeKind,
+    format_duration_ns, format_sci, group_digits, EstimateRequest, Estimator, HardwareProfile,
+    QecSchemeKind,
 };
 
 fn main() {
@@ -26,16 +27,17 @@ fn main() {
     );
     println!("{}", "-".repeat(80));
 
+    let engine = Estimator::new();
     for alg in MulAlgorithm::ALL {
         let counts = multiplication_counts(alg, bits);
-        let job = EstimationJob::builder()
+        let request = EstimateRequest::builder()
             .counts(counts)
             .profile(HardwareProfile::qubit_maj_ns_e4())
             .qec(QecSchemeKind::FloquetCode)
             .total_error_budget(1e-4)
             .build()
-            .expect("valid job");
-        let r = job.estimate().expect("feasible estimate");
+            .expect("valid request");
+        let r = engine.estimate(&request).expect("feasible estimate");
         println!(
             "{:<12} {:>14} {:>8} {:>16} {:>12} {:>12}",
             alg.name(),

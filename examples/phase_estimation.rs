@@ -10,7 +10,7 @@
 
 use qre::arith::qpe::qpe_counts;
 use qre::circuit::LogicalCounts;
-use qre::estimator::{EstimationJob, HardwareProfile, QecSchemeKind};
+use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
 
 fn main() {
     // The controlled unitary: a Trotter-style step on 60 system qubits.
@@ -30,16 +30,17 @@ fn main() {
     );
     println!("{}", "-".repeat(76));
 
+    let engine = Estimator::new();
     for precision in [8usize, 12, 16, 20] {
         let counts = qpe_counts(precision, &controlled_step);
-        let job = EstimationJob::builder()
+        let request = EstimateRequest::builder()
             .counts(counts)
             .profile(HardwareProfile::qubit_gate_ns_e4())
             .qec(QecSchemeKind::SurfaceCode)
             .total_error_budget(1e-3)
             .build()
-            .expect("valid job");
-        let r = job.estimate().expect("feasible estimate");
+            .expect("valid request");
+        let r = engine.estimate(&request).expect("feasible estimate");
         println!(
             "{:>10} {:>14} {:>8} {:>10} {:>16} {:>12}",
             format!("{precision} bits"),

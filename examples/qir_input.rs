@@ -7,7 +7,7 @@
 //! ```
 
 use qre::circuit::qir;
-use qre::estimator::{EstimationJob, HardwareProfile, QecSchemeKind};
+use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
 
 const PROGRAM: &str = r#"
 ; A small amplitude-amplification-style kernel in the QIR base profile.
@@ -48,14 +48,16 @@ fn main() {
     let full = counts.repeat(iterations);
     println!("\nEstimating {iterations} sequential iterations of the kernel:\n");
 
-    let job = EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(full)
         .profile(HardwareProfile::qubit_gate_ns_e4())
         .qec(QecSchemeKind::SurfaceCode)
         .total_error_budget(1e-3)
         .build()
-        .expect("valid job");
-    let result = job.estimate().expect("feasible estimate");
+        .expect("valid request");
+    let result = Estimator::new()
+        .estimate(&request)
+        .expect("feasible estimate");
     println!("{}", result.to_report());
 
     // Round-trip: the circuit emits back to QIR-lite.

@@ -6,7 +6,7 @@
 //! ```
 
 use qre::circuit::LogicalCounts;
-use qre::estimator::{EstimationJob, HardwareProfile, QecSchemeKind};
+use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
 
 fn main() {
     // An algorithm with 230 logical qubits, 1.2M T gates, 450k Toffolis and
@@ -20,15 +20,17 @@ fn main() {
         .measurements(600_000)
         .build();
 
-    let job = EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(counts)
         .profile(HardwareProfile::qubit_gate_ns_e3())
         .qec(QecSchemeKind::SurfaceCode)
         .total_error_budget(1e-3)
         .build()
-        .expect("valid job");
+        .expect("valid request");
 
-    let result = job.estimate().expect("feasible estimate");
+    let result = Estimator::new()
+        .estimate(&request)
+        .expect("feasible estimate");
     println!("{}", result.to_report());
 
     // The same result as the service's JSON contract:

@@ -15,23 +15,21 @@
 //!   the paper's three multipliers: schoolbook, Karatsuba, windowed),
 //! * [`estimator`] — the physical resource estimation engine (QEC code
 //!   distance, T factories, rQOPS, constraints, Pareto frontiers, and the
-//!   batch/sweep execution path),
+//!   sweep execution path),
 //! * [`expr`] — the formula-string engine for QEC/distillation parameters,
 //! * [`json`] — the JSON substrate used by the job/result I/O contract.
 //!
 //! ## The `Estimator` engine
 //!
-//! The centre of the API is [`estimator::Estimator`]: a reusable session
-//! that owns a memoized T-factory design cache and executes estimation
-//! *batches*. The paper's workloads are inherently batched — Figure 3
-//! sweeps three multipliers over ten bit-widths, Figure 4 sweeps six
-//! hardware profiles, and the trade-off frontier re-estimates one scenario
-//! dozens of times — so many-related-estimates is the primary unit of work
-//! (the service's job arrays, Section IV-A):
+//! The centre of the API is [`estimator::Estimator`], the one way to run an
+//! estimate: a reusable session that owns a memoized T-factory design cache.
+//! The paper's workloads are inherently batched — Figure 3 sweeps three
+//! multipliers over ten bit-widths, Figure 4 sweeps six hardware profiles,
+//! and the trade-off frontier re-estimates one scenario dozens of times — so
+//! many-related-estimates is the primary unit of work (the service's job
+//! arrays, Section IV-A):
 //!
-//! * [`estimator::Estimator::estimate`] — one request,
-//! * [`estimator::Estimator::estimate_batch`] — independent requests, run
-//!   in parallel with order-preserving, per-item outcomes,
+//! * [`estimator::Estimator::estimate`] — one [`estimator::EstimateRequest`],
 //! * [`estimator::Estimator::sweep`] — a declared [`estimator::SweepSpec`]
 //!   (workloads × profiles × QEC schemes × budgets × constraints) expanded
 //!   in row-major order and executed in parallel,
@@ -39,8 +37,8 @@
 //!   frontier, sharing the same cache.
 //!
 //! A warm engine skips the expensive distillation-pipeline search for
-//! repeated scenarios; failing items report their error in place instead of
-//! aborting the batch.
+//! repeated scenarios; failing sweep items report their error in place
+//! instead of aborting the sweep.
 //!
 //! ```
 //! use qre::arith::{multiplication_counts, MulAlgorithm};
@@ -62,14 +60,15 @@
 //! }
 //! ```
 //!
-//! ## One-shot quickstart
+//! ## One estimate
 //!
-//! For a single estimate, [`estimator::EstimationJob`] remains the friendly
-//! wrapper (it compiles and behaves exactly as before the engine existed):
+//! A single scenario is an [`estimator::EstimateRequest`] — counts, hardware
+//! profile, QEC scheme, and error budget, plus optional constraints — run
+//! through the same engine:
 //!
 //! ```
 //! use qre::circuit::LogicalCounts;
-//! use qre::estimator::{EstimationJob, HardwareProfile, QecSchemeKind};
+//! use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
 //!
 //! // Logical counts for a small algorithm (the Section IV-B.3 input path).
 //! let counts = LogicalCounts::builder()
@@ -79,7 +78,7 @@
 //!     .measurements(25_000)
 //!     .build();
 //!
-//! let job = EstimationJob::builder()
+//! let request = EstimateRequest::builder()
 //!     .counts(counts)
 //!     .profile(HardwareProfile::qubit_gate_ns_e3())
 //!     .qec(QecSchemeKind::SurfaceCode)
@@ -87,7 +86,7 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let result = job.estimate().unwrap();
+//! let result = Estimator::new().estimate(&request).unwrap();
 //! assert!(result.physical_counts.physical_qubits > 0);
 //! assert!(result.physical_counts.runtime_ns > 0.0);
 //! println!("{}", result.to_report());

@@ -4,9 +4,10 @@
 
 use qre::circuit::LogicalCounts;
 use qre::estimator::{
-    EstimateRequest, EstimationJob, Estimator, HardwareProfile, QecSchemeKind, SweepScheme,
-    SweepSpec,
+    EstimateRequest, Estimator, HardwareProfile, QecSchemeKind, SweepScheme, SweepSpec,
 };
+use qre::json::Value;
+use qre_cli::{run_submission, run_submission_streamed, JobSpec, Submission, SubmissionKind};
 
 fn counts(t: u64) -> LogicalCounts {
     LogicalCounts {
@@ -20,7 +21,6 @@ fn counts(t: u64) -> LogicalCounts {
 
 fn request(t: u64) -> EstimateRequest {
     EstimateRequest::builder()
-        .label(format!("t={t}"))
         .counts(counts(t))
         .profile(HardwareProfile::qubit_gate_ns_e3())
         .qec(QecSchemeKind::SurfaceCode)
@@ -29,27 +29,46 @@ fn request(t: u64) -> EstimateRequest {
         .unwrap()
 }
 
+/// A job array (the CLI's `{"items": [...]}` batch) of one job per T count.
+fn batch(sizes: &[u64]) -> Submission {
+    let jobs = sizes
+        .iter()
+        .map(|&t| JobSpec {
+            request: request(t),
+            frontier: false,
+            search_partition: false,
+        })
+        .collect();
+    Submission {
+        stream: false,
+        kind: SubmissionKind::Batch(jobs),
+    }
+}
+
+/// The pre-layout T count an item's result reports.
+fn t_count_of(item: &Value) -> Option<u64> {
+    item.get_path("preLayoutLogicalResources.tCount")
+        .and_then(Value::as_u64)
+}
+
 #[test]
 fn batch_results_come_back_in_input_order() {
     // Mixed sizes so completion order under parallel execution differs from
-    // submission order; outcomes must still line up by index.
+    // submission order; items must still line up with their jobs.
     let sizes: Vec<u64> = vec![
         400_000, 1_000, 250_000, 5_000, 120_000, 2_000, 80_000, 10_000, 40_000, 3_000, 20_000,
         600_000,
     ];
-    let requests: Vec<EstimateRequest> = sizes.iter().map(|&t| request(t)).collect();
-    let outcomes = Estimator::new().estimate_batch(&requests);
-    assert_eq!(outcomes.len(), sizes.len());
-    for (i, outcome) in outcomes.iter().enumerate() {
-        assert_eq!(outcome.index, i);
-        assert_eq!(outcome.label, format!("t={}", sizes[i]));
-        let result = outcome.outcome.as_ref().unwrap();
-        // The outcome really belongs to request i: its pre-layout T count
-        // must match the submitted workload.
-        assert_eq!(result.pre_layout.t_count, sizes[i]);
+    let doc = run_submission(&Estimator::new(), &batch(&sizes)).unwrap();
+    let items = doc.get("items").and_then(Value::as_array).unwrap();
+    assert_eq!(items.len(), sizes.len());
+    for (item, &t) in items.iter().zip(&sizes) {
+        // The item really belongs to its job: its pre-layout T count must
+        // match the submitted workload.
+        assert_eq!(t_count_of(item), Some(t));
         // And it must equal the one-shot estimate of the same request.
-        let solo = requests[i].estimation.estimate().unwrap();
-        assert_eq!(*result, solo);
+        let solo = Estimator::new().estimate(&request(t)).unwrap();
+        assert_eq!(*item, solo.to_json());
     }
 }
 
@@ -76,15 +95,14 @@ fn failing_sweep_item_does_not_poison_siblings() {
     // Successful siblings match their independent estimates.
     for (i, profile) in [(1usize, "qubit_maj_ns_e4"), (3, "qubit_maj_ns_e6")] {
         assert_eq!(outcomes[i].point.profile, profile);
-        let solo = EstimationJob::builder()
+        let request = EstimateRequest::builder()
             .counts(counts(10_000))
             .profile(HardwareProfile::by_name(profile).unwrap())
             .qec(QecSchemeKind::FloquetCode)
             .total_error_budget(1e-4)
             .build()
-            .unwrap()
-            .estimate()
             .unwrap();
+        let solo = Estimator::new().estimate(&request).unwrap();
         assert_eq!(*outcomes[i].outcome.as_ref().unwrap(), solo);
     }
 }
@@ -121,15 +139,14 @@ fn profile_sweep_hits_the_factory_cache_and_matches_cold_runs() {
             qre::estimator::InstructionSet::GateBased => QecSchemeKind::SurfaceCode,
             qre::estimator::InstructionSet::Majorana => QecSchemeKind::FloquetCode,
         };
-        let cold = EstimationJob::builder()
+        let request = EstimateRequest::builder()
             .counts(counts(50_000))
             .profile(profile.clone())
             .qec(kind)
             .total_error_budget(1e-4)
             .build()
-            .unwrap()
-            .estimate()
             .unwrap();
+        let cold = Estimator::new().estimate(&request).unwrap();
         assert_eq!(*outcome.outcome.as_ref().unwrap(), cold);
     }
 }
@@ -175,20 +192,23 @@ fn streamed_sweep_is_bit_identical_to_collecting_sweep() {
 #[test]
 fn streamed_batch_carries_correct_indices_under_uneven_load() {
     // Mixed sizes: completion order differs from input order in parallel
-    // runs, so each delivered outcome must self-identify via its index.
+    // runs, so each delivered record must self-identify via its index.
     let sizes: Vec<u64> = vec![500_000, 1_000, 200_000, 4_000, 90_000, 2_000];
-    let requests: Vec<EstimateRequest> = sizes.iter().map(|&t| request(t)).collect();
-    let engine = Estimator::new();
-    let mut delivered: Vec<(usize, u64)> = Vec::new();
-    engine.estimate_batch_with(&requests, |o| {
-        let t = o.outcome.as_ref().unwrap().pre_layout.t_count;
-        delivered.push((o.index, t));
-    });
-    assert_eq!(delivered.len(), sizes.len());
-    for (index, t_count) in delivered {
+    let mut bytes = Vec::new();
+    run_submission_streamed(&Estimator::new(), &batch(&sizes), &mut bytes).unwrap();
+    let records: Vec<Value> = std::str::from_utf8(&bytes)
+        .unwrap()
+        .lines()
+        .map(|line| qre::json::parse(line).unwrap())
+        .filter(|record| record.get("index").is_some())
+        .collect();
+    assert_eq!(records.len(), sizes.len());
+    for record in records {
+        let index = record.get("index").and_then(Value::as_u64).unwrap() as usize;
         assert_eq!(
-            t_count, sizes[index],
-            "outcome at index {index} carries the wrong workload"
+            t_count_of(&record),
+            Some(sizes[index]),
+            "record at index {index} carries the wrong workload"
         );
     }
 }

@@ -15,7 +15,9 @@
 use std::path::PathBuf;
 
 use qre::arith::{multiplication_counts, MulAlgorithm};
-use qre::estimator::{EstimationJob, EstimationResult, HardwareProfile, QecSchemeKind};
+use qre::estimator::{
+    EstimateRequest, EstimationResult, Estimator, HardwareProfile, QecSchemeKind,
+};
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -78,15 +80,14 @@ fn estimate(
     qec: QecSchemeKind,
     budget: f64,
 ) -> EstimationResult {
-    EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(multiplication_counts(alg, bits))
         .profile(profile)
         .qec(qec)
         .total_error_budget(budget)
         .build()
-        .unwrap()
-        .estimate()
-        .unwrap()
+        .unwrap();
+    Estimator::new().estimate(&request).unwrap()
 }
 
 /// The paper's Section V calibration point: windowed 2048-bit multiplication

@@ -5,18 +5,17 @@
 //! --release`); these tests pin the claims that fit a debug-mode budget.
 
 use qre::arith::{multiplication_counts, MulAlgorithm};
-use qre::estimator::{EstimationJob, HardwareProfile, QecSchemeKind};
+use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
 
 fn maj_estimate(alg: MulAlgorithm, bits: usize) -> qre::estimator::EstimationResult {
-    EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(multiplication_counts(alg, bits))
         .profile(HardwareProfile::qubit_maj_ns_e4())
         .qec(QecSchemeKind::FloquetCode)
         .total_error_budget(1e-4)
         .build()
-        .unwrap()
-        .estimate()
-        .unwrap()
+        .unwrap();
+    Estimator::new().estimate(&request).unwrap()
 }
 
 #[test]
@@ -128,15 +127,14 @@ fn e6_majorana_is_fastest_for_windowed_2048_style_workloads() {
             qre::estimator::InstructionSet::GateBased => QecSchemeKind::SurfaceCode,
             qre::estimator::InstructionSet::Majorana => QecSchemeKind::FloquetCode,
         };
-        let r = EstimationJob::builder()
+        let request = EstimateRequest::builder()
             .counts(counts)
             .profile(profile.clone())
             .qec(kind)
             .total_error_budget(1e-4)
             .build()
-            .unwrap()
-            .estimate()
             .unwrap();
+        let r = Estimator::new().estimate(&request).unwrap();
         runtimes.push((profile.name.clone(), r.physical_counts.runtime_ns));
     }
     let fastest = runtimes

@@ -4,7 +4,8 @@
 use qre::arith::{multiplication_counts, MulAlgorithm};
 use qre::circuit::LogicalCounts;
 use qre::estimator::{
-    post_layout_logical_qubits, EstimationJob, HardwareProfile, InstructionSet, QecSchemeKind,
+    post_layout_logical_qubits, EstimateRequest, Estimator, HardwareProfile, InstructionSet,
+    QecSchemeKind,
 };
 
 fn estimate(
@@ -13,15 +14,14 @@ fn estimate(
     kind: QecSchemeKind,
     budget: f64,
 ) -> qre::estimator::EstimationResult {
-    EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(counts)
         .profile(profile)
         .qec(kind)
         .total_error_budget(budget)
         .build()
-        .unwrap()
-        .estimate()
-        .unwrap()
+        .unwrap();
+    Estimator::new().estimate(&request).unwrap()
 }
 
 #[test]
@@ -125,14 +125,14 @@ fn composition_algebra_flows_into_estimates() {
 #[test]
 fn frontier_spans_a_real_tradeoff_for_multiplication() {
     let counts = multiplication_counts(MulAlgorithm::Windowed, 128);
-    let job = EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(counts)
         .profile(HardwareProfile::qubit_maj_ns_e4())
         .qec(QecSchemeKind::FloquetCode)
         .total_error_budget(1e-4)
         .build()
         .unwrap();
-    let frontier = job.estimate_frontier().unwrap();
+    let frontier = Estimator::new().frontier(&request).unwrap();
     assert!(frontier.len() >= 2);
     let first = &frontier.first().unwrap().result.physical_counts;
     let last = &frontier.last().unwrap().result.physical_counts;

@@ -4,7 +4,7 @@
 
 use qre::arith::add::{add_into, controlled_add_into};
 use qre::circuit::{qir, Builder, Circuit, CountingTracer, LogicalCounts, TeeSink};
-use qre::estimator::{EstimationJob, HardwareProfile, QecSchemeKind};
+use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
 
 /// Build a small arithmetic circuit through the recording sink.
 fn sample_circuit() -> Circuit {
@@ -39,15 +39,14 @@ fn qir_round_trip_preserves_estimates() {
 
     // Both count sets produce identical physical estimates when widths agree.
     let estimate = |counts: LogicalCounts| {
-        EstimationJob::builder()
+        let request = EstimateRequest::builder()
             .counts(counts)
             .profile(HardwareProfile::qubit_gate_ns_e3())
             .qec(QecSchemeKind::SurfaceCode)
             .total_error_budget(1e-3)
             .build()
-            .unwrap()
-            .estimate()
-            .unwrap()
+            .unwrap();
+        Estimator::new().estimate(&request).unwrap()
     };
     let mut aligned = qir_counts;
     aligned.num_qubits = direct_counts.num_qubits;
@@ -83,15 +82,14 @@ fn account_for_estimates_path_composes_with_traced_counts() {
     assert_eq!(combined.t_count, traced.t_count + 5_000);
     assert_eq!(combined.num_qubits, 40.max(traced.num_qubits));
 
-    let r = EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(combined)
         .profile(HardwareProfile::qubit_gate_ns_e4())
         .qec(QecSchemeKind::SurfaceCode)
         .total_error_budget(1e-3)
         .build()
-        .unwrap()
-        .estimate()
         .unwrap();
+    let r = Estimator::new().estimate(&request).unwrap();
     // The rotation path kicked in.
     assert!(r.breakdown.t_states_per_rotation > 0);
     assert!(r.breakdown.num_t_states > combined.t_count);
@@ -112,17 +110,16 @@ fn cli_json_contract_round_trips() {
         1e-4
     );
     let spec = qre_cli::parse_job(&job_text).unwrap();
-    let cli_out = qre_cli::run_job(&spec).unwrap();
+    let cli_out = qre_cli::run_job(&Estimator::new(), &spec).unwrap();
 
-    let lib_result = EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(counts)
         .profile(HardwareProfile::qubit_maj_ns_e4())
         .qec(QecSchemeKind::FloquetCode)
         .total_error_budget(1e-4)
         .build()
-        .unwrap()
-        .estimate()
         .unwrap();
+    let lib_result = Estimator::new().estimate(&request).unwrap();
 
     assert_eq!(
         cli_out
@@ -153,7 +150,7 @@ fn bench_harness_matches_library_estimates() {
         1e-4,
     )
     .unwrap();
-    let lib = EstimationJob::builder()
+    let request = EstimateRequest::builder()
         .counts(qre::arith::multiplication_counts(
             qre::arith::MulAlgorithm::Schoolbook,
             64,
@@ -162,8 +159,7 @@ fn bench_harness_matches_library_estimates() {
         .qec(QecSchemeKind::FloquetCode)
         .total_error_budget(1e-4)
         .build()
-        .unwrap()
-        .estimate()
         .unwrap();
+    let lib = Estimator::new().estimate(&request).unwrap();
     assert_eq!(r.result, lib);
 }

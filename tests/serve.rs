@@ -1,7 +1,7 @@
 //! Integration tests for `qre serve` — the long-running NDJSON job server
 //! (driven in-process through `qre_cli::serve`).
 
-use qre_cli::{serve, ServeOptions};
+use qre_cli::{run_session, serve, ServeOptions, ServeShared, SessionConfig};
 use qre_json::Value;
 
 fn run_serve(script: &str, options: &ServeOptions) -> (qre_cli::ServeSummary, Vec<Value>) {
@@ -296,6 +296,65 @@ fn failing_single_jobs_report_in_place_and_serve_continues() {
         .iter()
         .any(|l| l.get("job").and_then(Value::as_u64) == Some(2)
             && l.get("status").and_then(Value::as_str) == Some("success")));
+}
+
+#[test]
+fn overflowing_sweep_line_errors_in_place_and_the_session_continues() {
+    // Five axes of 8,192 entries make 2^65 items. An unchecked axis product
+    // wraps to 0 in release builds, and the job would walk every index
+    // without emitting a record, holding its worker. The line must get one
+    // error record before any item runs, and the next line must be served.
+    let axis = |entry: &str| format!("[{}]", vec![entry; 8_192].join(","));
+    let huge = format!(
+        r#"{{"id":"huge","sweep":{{"algorithms":{},"qubitParams":{},"qecSchemes":{},"errorBudgets":{},"constraints":{}}}}}"#,
+        axis(r#"{"logicalCounts":{"numQubits":10,"tCount":100}}"#),
+        axis(r#"{"name":"qubit_gate_ns_e3"}"#),
+        axis(r#"{"name":"surface_code"}"#),
+        axis("1e-3"),
+        axis("{}"),
+    );
+    let script = format!("{huge}\n{ESTIMATE_LINE}\n");
+    let shared = ServeShared::new(&sequential());
+    let mut bytes: Vec<u8> = Vec::new();
+    let summary = run_session(
+        &shared,
+        &SessionConfig::default(),
+        script.as_bytes(),
+        &mut bytes,
+    )
+    .expect("the session survives the overflowing line");
+    let lines: Vec<Value> = std::str::from_utf8(&bytes)
+        .unwrap()
+        .lines()
+        .map(|line| qre_json::parse(line).unwrap())
+        .collect();
+    assert_eq!(summary.jobs, 2);
+    assert_eq!(summary.job_errors, 1);
+
+    let huge_records: Vec<&Value> = lines
+        .iter()
+        .filter(|l| l.get("job").and_then(Value::as_str) == Some("huge"))
+        .collect();
+    assert_eq!(
+        huge_records.len(),
+        1,
+        "exactly one record: {huge_records:?}"
+    );
+    assert_eq!(
+        huge_records[0].get("status").unwrap().as_str(),
+        Some("error")
+    );
+    let message = huge_records[0].get("message").unwrap().as_str().unwrap();
+    assert!(message.contains("8192 workloads"), "{message}");
+
+    // The next line ran: its result and its stats record.
+    let next: Vec<&Value> = lines
+        .iter()
+        .filter(|l| l.get("job").and_then(Value::as_u64) == Some(2))
+        .collect();
+    assert_eq!(next.len(), 2);
+    assert_eq!(next[0].get("status").unwrap().as_str(), Some("success"));
+    assert!(next[1].get("stats").is_some());
 }
 
 #[test]

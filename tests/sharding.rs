@@ -3,7 +3,7 @@
 //! multi-axis spec (the acceptance criterion of the sharding API).
 
 use qre::circuit::LogicalCounts;
-use qre::estimator::{merge_sharded, Estimator, HardwareProfile, Shard, SweepOutcome, SweepSpec};
+use qre::estimator::{merge_indexed, Estimator, HardwareProfile, Shard, SweepOutcome, SweepSpec};
 
 fn counts(t: u64) -> LogicalCounts {
     LogicalCounts {
@@ -46,7 +46,7 @@ fn shard_union_equals_unsharded_sweep() {
             full.len(),
             "shards of {n} must cover every item exactly once"
         );
-        let merged = merge_sharded(per_shard).unwrap();
+        let merged = merge_indexed(per_shard, |o| o.point.index).unwrap();
         assert_eq!(merged.len(), full.len());
         for (m, f) in merged.iter().zip(&full) {
             assert_eq!(m.point.index, f.point.index);
@@ -82,7 +82,7 @@ fn oversharding_yields_empty_tails_that_still_merge() {
         .iter()
         .map(|s| Estimator::new().sweep(s).unwrap())
         .collect();
-    let merged = merge_sharded(per_shard).unwrap();
+    let merged = merge_indexed(per_shard, |o| o.point.index).unwrap();
     assert_eq!(merged.len(), 1);
 }
 

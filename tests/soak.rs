@@ -20,7 +20,7 @@
 mod common;
 
 use common::{Client, NetServer};
-use qre::estimator::{merge_sharded, Estimator, SweepOutcome};
+use qre::estimator::{merge_indexed, Estimator, SweepOutcome};
 use qre_cli::{
     merge_files, run_session, stress_job_line, stress_spec, ServeOptions, ServeShared,
     SessionConfig,
@@ -111,7 +111,7 @@ fn sharded_union_equals_unsharded_sweep_at_scale() {
         .iter()
         .map(|shard| Estimator::new().sweep(shard).expect("shard sweeps"))
         .collect();
-    let merged = merge_sharded(per_shard).expect("shard union covers the sweep");
+    let merged = merge_indexed(per_shard, |o| o.point.index).expect("shard union covers the sweep");
     assert_eq!(merged.len(), full.len());
     for (m, f) in merged.iter().zip(&full) {
         assert_eq!(m.point.index, f.point.index);
