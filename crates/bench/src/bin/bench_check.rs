@@ -1,263 +1,617 @@
-//! Perf-regression gate over every committed `BENCH_*.json` artifact, plus
-//! a live re-measurement of the two engine speedups.
+//! The perf gate: ratios of two timings taken in the same run, each held
+//! to a bound written beside it, plus a peak-RSS ceiling.
 //!
-//! **Artifact gate.** Each committed artifact carries a `"gate"` object:
-//! `"floors"` maps dotted value paths to minima, `"ceilings"` to maxima
-//! (e.g. the peak-RSS bound of `BENCH_scale.json`). For every artifact the
-//! gate checks the committed values — so a regressed artifact cannot be
-//! committed without also moving its own gate — and, when a freshly
-//! regenerated counterpart exists in `target/experiments/` (CI runs the
-//! quick benches first), the fresh values too. A gated path missing from
-//! either document fails the gate: value shapes and their bounds move
-//! together or not at all.
+//! Both sides of every ratio run in this one process, back to back, so
+//! machine speed cancels out. Each bound sits where a 2× slowdown of the
+//! side it guards crosses it:
 //!
-//! **Live re-measurement.** Re-measures, with plain `Instant` medians (no
-//! criterion, so it runs as an ordinary binary in CI):
+//! * **search** — the branch-and-bound T-factory search against the
+//!   retained exhaustive enumerator on the paper's Figure 3 problem
+//!   (maj_ns_e4 / floquet, required T error 7.2e-12). Both must return the
+//!   same design; exhaustive/pruned guards the pruned search.
+//! * **six-profile sweep** — one workload over the six default profiles on
+//!   a fresh `Estimator` (cold) against one whose factory cache is primed
+//!   (warm); cold/warm guards the cache-hit path.
+//! * **stress matrix** — the 10,080-item `qre stress` sweep, run in rounds.
+//!   Each round measures:
+//!   - a cold engine, then the same engine again warm (cold/warm guards the
+//!     warm sweep);
+//!   - `sweep_stream` on a fresh engine, to its first item and to
+//!     exhaustion (all/first guards time to first result, streamed/cold
+//!     guards streamed throughput);
+//!   - eight shard jobs through their own cold `run_session`, joined by
+//!     `merge_files` (sharded/cold guards the shard-and-merge pipeline);
+//!   - a fresh loopback `listen_serve` under four clients of four shard
+//!     jobs each (served/cold guards the TCP service path);
+//!   - one `--cache-file` serve session from an empty store, then one
+//!     loaded from its snapshot (cold/warm session guards the persisted
+//!     warm session).
 //!
-//! - **search speedup** — exhaustive pipeline enumeration vs. the
-//!   branch-and-bound search on the paper's maj_ns_e4 / Floquet problem at
-//!   the Figure 3 requirement (7.2e-12);
-//! - **cold/warm sweep speedup** — a fresh `Estimator` per sweep vs. one
-//!   whose factory cache was primed, over the six default hardware
-//!   profiles.
+//! Each stress ratio is the median over the rounds. After the last round
+//! the process peak RSS is held to a ceiling. The run's numbers are
+//! written to `target/experiments/BENCH_scale.json` (the repo-root copy is
+//! this binary's output), and the process exits non-zero when any bound
+//! is crossed.
 //!
-//! Exits non-zero if either measured speedup falls below the committed
-//! floor (`floors.*` in `BENCH_engine.json`) or any artifact gate fails.
-//! All bounds sit deliberately far below the committed medians: the gate
-//! exists to catch structural regressions (losing the pruning, unbounding
-//! a buffer), not scheduler jitter on a busy CI box.
-//!
-//! Run with `cargo run --release -p qre-bench --bin bench_check`.
+//! ```text
+//! cargo run --release -p qre-bench --bin bench_check
+//! ```
 
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::process::ExitCode;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use qre_circuit::LogicalCounts;
+use qre_cli::{
+    listen_serve, merge_files, run_session, serve, stress_job_line, stress_spec, ServeOptions,
+    ServeShared, SessionConfig,
+};
 use qre_core::{Estimator, PhysicalQubit, QecScheme, SweepSpec, TFactoryBuilder};
-use qre_json::Value;
+use qre_json::ObjectBuilder;
 
-/// Every committed perf artifact the gate covers.
-const ARTIFACTS: [&str; 7] = [
-    "BENCH_engine.json",
-    "BENCH_stream.json",
-    "BENCH_serve.json",
-    "BENCH_persist.json",
-    "BENCH_service.json",
-    "BENCH_scale.json",
-    "BENCH_frontier.json",
-];
+/// `qre stress` point count; rounds up to whole 84-item workload rows.
+const POINTS: usize = 10_000;
+/// Items of the stress matrix at [`POINTS`]: 120 workloads × 6 profiles ×
+/// 14 budgets.
+const ITEMS: usize = 10_080;
+/// Stress-matrix rounds; every stress ratio is the median over them.
+const ROUNDS: usize = 3;
+/// Shard jobs of the sharded-and-merged mode.
+const SHARDS: usize = 8;
+/// Concurrent clients of the served mode.
+const CLIENTS: usize = 4;
+/// Shard jobs each served client submits.
+const JOBS_PER_CLIENT: usize = 4;
+/// The Figure 3 distillation requirement of the search ratio.
+const REQUIRED_T_ERROR: f64 = 7.2e-12;
+
+/// Exhaustive / pruned search; guards the branch-and-bound search.
+const SEARCH: Bound = Bound::Floor(100.0);
+/// Cold / warm six-profile sweep; guards the cache-hit path.
+const SIX_PROFILE: Bound = Bound::Floor(2.6);
+/// Stress cold / warm; guards the warm sweep.
+const STRESS_WARM: Bound = Bound::Floor(2.0);
+/// Stress streamed to the last item / to the first; guards time to first
+/// result.
+const FIRST_ITEM: Bound = Bound::Floor(14.0);
+/// Stress streamed / cold; guards streamed throughput.
+const STREAMED: Bound = Bound::Ceiling(1.6);
+/// Stress shard sessions + merge / cold; guards the shard-and-merge
+/// pipeline.
+const SHARDED: Bound = Bound::Ceiling(4.0);
+/// Stress served over TCP / cold; guards the served path.
+const SERVED: Bound = Bound::Ceiling(2.1);
+/// Cold session / snapshot-warm session; guards the persisted warm
+/// session. Both sessions render and write every record and save the
+/// snapshot, which dominates them, so the unslowed ratio is only ≈ 1.1.
+const PERSISTED: Bound = Bound::Floor(0.8);
+/// Ceiling of the process peak RSS (`VmHWM`) after every mode.
+const PEAK_RSS_CEILING: u64 = 1 << 30;
+
+/// The bound one gated ratio is held to.
+#[derive(Clone, Copy)]
+enum Bound {
+    Floor(f64),
+    Ceiling(f64),
+}
+
+impl Bound {
+    fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::Floor(b) => value >= b,
+            Bound::Ceiling(b) => value <= b,
+        }
+    }
+
+    /// The bound's kind, as the record names it, and its value.
+    fn parts(self) -> (&'static str, f64) {
+        match self {
+            Bound::Floor(b) => ("floor", b),
+            Bound::Ceiling(b) => ("ceiling", b),
+        }
+    }
+}
+
+/// Stress-matrix timings of one round, in nanoseconds.
+struct Round {
+    cold: f64,
+    warm: f64,
+    first: f64,
+    streamed: f64,
+    sharded: f64,
+    merge_peak_resident_bytes: usize,
+    served: f64,
+    job_latencies: Vec<f64>,
+    session_cold: f64,
+    session_warm: f64,
+    designs: usize,
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+fn elapsed_ns(start: Instant) -> f64 {
+    start.elapsed().as_nanos() as f64
+}
 
 /// Median wall time of `iters` runs of `f`, in nanoseconds.
 fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos() as f64);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(
+        (0..iters)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                elapsed_ns(start)
+            })
+            .collect(),
+    )
 }
 
-fn workspace_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the workspace root")
+fn round_to(x: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (x * scale).round() / scale
 }
 
-fn load_json(path: &PathBuf) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    qre_json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Apply one artifact's committed `gate` to one value document, appending
-/// human-readable failure lines. Returns the number of bounds checked.
-fn check_gate(
-    name: &str,
-    source: &str,
-    gate: &Value,
-    values: &Value,
-    failures: &mut Vec<String>,
-) -> usize {
-    let mut checked = 0;
-    for (kind, is_floor) in [("floors", true), ("ceilings", false)] {
-        let Some(bounds) = gate.get(kind) else {
-            continue;
-        };
-        let Some(pairs) = bounds.as_object() else {
-            failures.push(format!("{name}: gate.{kind} must be an object"));
-            continue;
-        };
-        for (path, bound) in pairs {
-            let Some(bound) = bound.as_f64() else {
-                failures.push(format!("{name}: gate.{kind}.{path} is not a number"));
-                continue;
-            };
-            let op = if is_floor { ">=" } else { "<=" };
-            match values.get_path(path).and_then(Value::as_f64) {
-                None => failures.push(format!(
-                    "{name} ({source}): gated path `{path}` missing from the document"
-                )),
-                Some(v) if (is_floor && v < bound) || (!is_floor && v > bound) => failures.push(
-                    format!("{name} ({source}): {path} = {v} violates {op} {bound}"),
-                ),
-                Some(v) => {
-                    println!("  {name} ({source}): {path} {v} {op} {bound}");
-                    checked += 1;
-                }
-            }
-        }
-    }
-    checked
-}
-
-/// Gate every committed artifact (and its fresh counterpart, when one was
-/// just regenerated into `target/experiments/`). Returns accumulated
-/// failure lines; an artifact without a `gate` object is itself a failure
-/// so new artifacts cannot dodge the gate.
-fn gate_artifacts() -> Vec<String> {
-    let root = workspace_root();
-    let mut failures = Vec::new();
-    println!("bench_check: artifact gate");
-    for name in ARTIFACTS {
-        let committed = match load_json(&root.join(name)) {
-            Ok(doc) => doc,
-            Err(e) => {
-                failures.push(e);
-                continue;
-            }
-        };
-        let Some(gate) = committed.get("gate") else {
-            failures.push(format!("{name}: no `gate` object committed"));
-            continue;
-        };
-        if check_gate(name, "committed", gate, &committed, &mut failures) == 0 {
-            failures.push(format!("{name}: gate checks no bounds"));
-        }
-        let fresh_path = root.join("target").join("experiments").join(name);
-        if fresh_path.exists() {
-            match load_json(&fresh_path) {
-                Ok(fresh) => {
-                    check_gate(name, "fresh", gate, &fresh, &mut failures);
-                }
-                Err(e) => failures.push(e),
-            }
-        }
-    }
-    failures
-}
-
-fn committed_floors() -> Result<(f64, f64), String> {
-    let path = workspace_root().join("BENCH_engine.json");
-    let doc = load_json(&path)?;
-    let floor = |key: &str| {
-        doc.get_path(&format!("floors.{key}"))
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{}: missing floors.{key}", path.display()))
-    };
-    Ok((floor("search_speedup_min")?, floor("cold_over_warm_min")?))
-}
-
-fn main() -> ExitCode {
-    let gate_failures = gate_artifacts();
-
-    let (search_floor, sweep_floor) = match committed_floors() {
-        Ok(floors) => floors,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Search: the Figure 3 distillation problem, pruned vs. exhaustive.
+/// Exhaustive over pruned search time on the Figure 3 problem, after
+/// checking that both return the same design.
+fn search_ratio() -> f64 {
     let qubit = PhysicalQubit::qubit_maj_ns_e4();
     let scheme = QecScheme::floquet_code();
     let builder = TFactoryBuilder::default();
-    let required = 7.2e-12;
-    let (pruned, stats) = builder.find_factory_with_stats(&qubit, &scheme, required, None);
-    let pruned = pruned.expect("the paper problem is solvable");
-    let exhaustive = builder
-        .find_factory_exhaustive(&qubit, &scheme, required)
-        .expect("the paper problem is solvable");
+    let (pruned, stats) = builder.find_factory_with_stats(&qubit, &scheme, REQUIRED_T_ERROR, None);
+    let exhaustive = builder.find_factory_exhaustive(&qubit, &scheme, REQUIRED_T_ERROR);
     assert_eq!(
-        pruned, exhaustive,
+        pruned.expect("the paper problem is solvable"),
+        exhaustive.expect("the paper problem is solvable"),
         "branch-and-bound and exhaustive search disagree on the paper problem"
     );
-    let pruned_ns = median_ns(31, || {
-        builder.find_factory(&qubit, &scheme, required).unwrap();
-    });
-    let exhaustive_ns = median_ns(7, || {
-        builder
-            .find_factory_exhaustive(&qubit, &scheme, required)
-            .unwrap();
-    });
-    let search_speedup = exhaustive_ns / pruned_ns;
-
-    // Sweep: the BENCH_engine.json workload over the six default profiles.
-    let spec = SweepSpec::new()
-        .workload(
-            "sweep",
-            LogicalCounts {
-                num_qubits: 2_000,
-                t_count: 500_000,
-                ccz_count: 100_000,
-                measurement_count: 500_000,
-                ..Default::default()
-            },
-        )
-        .profiles(PhysicalQubit::default_profiles())
-        .total_error_budget(1e-4);
-    let cold_ns = median_ns(21, || {
-        Estimator::new().sweep(&spec).unwrap();
-    });
-    let engine = Estimator::new();
-    engine.sweep(&spec).unwrap(); // prime the factory cache
-    let warm_ns = median_ns(21, || {
-        engine.sweep(&spec).unwrap();
-    });
-    let cold_over_warm = cold_ns / warm_ns;
-
-    println!("bench_check: tfactory search (maj_ns_e4 / floquet, required {required:.1e})");
-    println!("  pruned      {:>12.1} us", pruned_ns / 1e3);
-    println!("  exhaustive  {:>12.1} us", exhaustive_ns / 1e3);
-    println!("  speedup     {search_speedup:>12.1}x  (floor {search_floor}x)");
+    // Paired rounds: a machine that drifts mid-run moves both sides alike.
+    let (exhaustive_ns, pruned_ns): (Vec<f64>, Vec<f64>) = (0..9)
+        .map(|_| {
+            let exhaustive = median_ns(1, || {
+                builder
+                    .find_factory_exhaustive(&qubit, &scheme, REQUIRED_T_ERROR)
+                    .unwrap();
+            });
+            let pruned = median_ns(15, || {
+                builder
+                    .find_factory(&qubit, &scheme, REQUIRED_T_ERROR)
+                    .unwrap();
+            });
+            (exhaustive, pruned)
+        })
+        .unzip();
+    let ratios = exhaustive_ns.iter().zip(&pruned_ns).map(|(e, p)| e / p);
+    let ratio = median(ratios.collect());
     println!(
-        "  counters    expanded {} / pruned_bound {} / pruned_dominated {} / memo_hits {} / realised {}",
+        "bench_check: search pruned {:.1} us, exhaustive {:.1} us (expanded {}, \
+         bound-pruned {}, dominance-pruned {}, memo hits {}, realised {})",
+        median(pruned_ns) / 1e3,
+        median(exhaustive_ns) / 1e3,
         stats.nodes_expanded,
         stats.nodes_pruned_bound,
         stats.nodes_pruned_dominated,
         stats.memo_hits,
         stats.factories_realised
     );
-    println!("bench_check: engine sweep (six default profiles)");
-    println!("  cold        {:>12.1} us", cold_ns / 1e3);
-    println!("  warm        {:>12.1} us", warm_ns / 1e3);
-    println!("  speedup     {cold_over_warm:>12.1}x  (floor {sweep_floor}x)");
+    ratio
+}
 
-    let mut ok = true;
-    for failure in &gate_failures {
-        eprintln!("bench_check: FAIL {failure}");
-        ok = false;
+/// Cold over warm time of one workload swept over the six default
+/// profiles: a fresh engine per run against one whose cache is primed.
+fn six_profile_ratio() -> f64 {
+    let counts = LogicalCounts {
+        num_qubits: 2_000,
+        t_count: 500_000,
+        ccz_count: 100_000,
+        measurement_count: 500_000,
+        ..Default::default()
+    };
+    let spec = SweepSpec::new()
+        .workload("sweep", counts)
+        .profiles(PhysicalQubit::default_profiles())
+        .total_error_budget(1e-4);
+    let cold_ns = median_ns(21, || {
+        Estimator::new().sweep(&spec).unwrap();
+    });
+    let engine = Estimator::new();
+    engine.sweep(&spec).unwrap();
+    let warm_ns = median_ns(21, || {
+        engine.sweep(&spec).unwrap();
+    });
+    println!(
+        "bench_check: six-profile sweep cold {:.1} us, warm {:.1} us",
+        cold_ns / 1e3,
+        warm_ns / 1e3
+    );
+    cold_ns / warm_ns
+}
+
+/// Run the whole matrix through `engine`, asserting every item estimates.
+fn sweep_all(engine: &Estimator, spec: &SweepSpec) -> f64 {
+    let start = Instant::now();
+    let total = engine
+        .sweep_with(spec, |o| {
+            if let Err(e) = &o.outcome {
+                panic!("stress item {} failed: {e}", o.point.index);
+            }
+        })
+        .expect("the stress matrix expands");
+    assert_eq!(total, ITEMS);
+    elapsed_ns(start)
+}
+
+/// `sweep_stream` on a fresh engine: (time to first item, time to
+/// exhaustion).
+fn stream_all(spec: &SweepSpec) -> (f64, f64) {
+    let engine = Estimator::new();
+    let start = Instant::now();
+    let stream = engine
+        .sweep_stream(spec)
+        .expect("the stress matrix expands");
+    let mut delivered = 0;
+    let mut first = 0.0;
+    for o in stream {
+        if let Err(e) = &o.outcome {
+            panic!("streamed item {} failed: {e}", o.point.index);
+        }
+        if delivered == 0 {
+            first = elapsed_ns(start);
+        }
+        delivered += 1;
     }
-    if search_speedup < search_floor {
-        eprintln!(
-            "bench_check: FAIL search speedup {search_speedup:.1}x below floor {search_floor}x"
-        );
-        ok = false;
+    assert_eq!(delivered, ITEMS);
+    (first, elapsed_ns(start))
+}
+
+/// Eight shard jobs, each through its own cold serve session into a shard
+/// file, then the streaming index join: (elapsed, merge peak resident
+/// bytes).
+fn shard_and_merge(dir: &Path) -> (f64, usize) {
+    let start = Instant::now();
+    let mut paths = Vec::with_capacity(SHARDS);
+    for index in 0..SHARDS {
+        let shared = ServeShared::new(&ServeOptions::default());
+        let input = stress_job_line(POINTS, Some((index, SHARDS)), false) + "\n";
+        let config = SessionConfig {
+            session: index as u64,
+            peer: None,
+            lifecycle: false,
+        };
+        let mut records = Vec::new();
+        let summary = run_session(&shared, &config, input.as_bytes(), &mut records)
+            .expect("shard session runs");
+        assert_eq!(summary.job_errors, 0, "shard {index} failed");
+        let path = dir.join(format!("shard-{index}.ndjson"));
+        std::fs::write(&path, &records).expect("write shard file");
+        paths.push(path.to_string_lossy().into_owned());
     }
-    if cold_over_warm < sweep_floor {
-        eprintln!(
-            "bench_check: FAIL cold/warm sweep speedup {cold_over_warm:.1}x below floor {sweep_floor}x"
-        );
-        ok = false;
+    let merged = merge_files(&paths, &mut std::io::sink()).expect("shards merge");
+    assert_eq!(merged.items, ITEMS, "the shard union covers the matrix");
+    (elapsed_ns(start), merged.peak_resident_bytes)
+}
+
+/// One client of the served mode: submit each job line in one write on a
+/// `TCP_NODELAY` socket and time it until its `"stats"` record.
+fn run_client(addr: SocketAddr, jobs: &[String]) -> Vec<f64> {
+    let stream = TcpStream::connect(addr).expect("connect to serve");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    let mut writer = stream;
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello");
+    let mut latencies = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        let start = Instant::now();
+        writer.write_all(job.as_bytes()).expect("submit job");
+        loop {
+            line.clear();
+            let n = reader.read_line(&mut line).expect("read record");
+            assert!(n > 0, "server closed mid-job");
+            assert!(!line.contains("\"status\":\"error\""), "job failed: {line}");
+            if line.contains("\"stats\":") {
+                break;
+            }
+        }
+        latencies.push(elapsed_ns(start));
     }
-    if ok {
+    writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    while reader.read_line(&mut line).expect("drain session") > 0 {
+        line.clear();
+    }
+    latencies
+}
+
+/// A fresh loopback service under [`CLIENTS`] clients of
+/// [`JOBS_PER_CLIENT`] shard jobs each: (elapsed, per-job round trips).
+fn serve_over_tcp() -> (f64, Vec<f64>) {
+    let jobs = CLIENTS * JOBS_PER_CLIENT;
+    let shared = Arc::new(ServeShared::new(&ServeOptions {
+        max_in_flight: 2,
+        global_jobs: Some(8),
+        ..ServeOptions::default()
+    }));
+    let (tx, rx) = mpsc::channel();
+    let server = std::thread::spawn({
+        let shared = Arc::clone(&shared);
+        move || {
+            listen_serve(&shared, "127.0.0.1:0", 32, move |addr| {
+                let _ = tx.send(addr);
+            })
+            .expect("listen_serve runs")
+        }
+    });
+    let addr = rx.recv().expect("server binds");
+    let start = Instant::now();
+    let latencies: Vec<f64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let lines: Vec<String> = (0..JOBS_PER_CLIENT)
+                    .map(|job| {
+                        let shard = (client * JOBS_PER_CLIENT + job, jobs);
+                        stress_job_line(POINTS, Some(shard), false) + "\n"
+                    })
+                    .collect();
+                scope.spawn(move || run_client(addr, &lines))
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    let elapsed = elapsed_ns(start);
+    shared.shutdown_signal().signal();
+    let summary = server.join().expect("server thread");
+    assert_eq!(summary.job_errors, 0);
+    assert_eq!(latencies.len(), jobs);
+    (elapsed, latencies)
+}
+
+/// The whole matrix as one job through a `--cache-file` serve session:
+/// (elapsed, designs loaded, designs saved).
+fn persisted_session(snapshot: &Path) -> (f64, usize, usize) {
+    let options = ServeOptions {
+        max_in_flight: 1,
+        cache_file: Some(snapshot.to_path_buf()),
+        save_every: 0,
+        ..ServeOptions::default()
+    };
+    let input = stress_job_line(POINTS, None, false) + "\n";
+    let start = Instant::now();
+    let summary = serve(input.as_bytes(), &mut std::io::sink(), &options).expect("session runs");
+    let elapsed = elapsed_ns(start);
+    assert_eq!(summary.job_errors, 0);
+    (elapsed, summary.designs_loaded, summary.designs_saved)
+}
+
+fn stress_round(spec: &SweepSpec, dir: &Path) -> Round {
+    let engine = Estimator::new();
+    let cold = sweep_all(&engine, spec);
+    let warm = sweep_all(&engine, spec);
+    let (first, streamed) = stream_all(spec);
+    let (sharded, merge_peak_resident_bytes) = shard_and_merge(dir);
+    let (served, job_latencies) = serve_over_tcp();
+
+    let snapshot = dir.join("designs.json");
+    let _ = std::fs::remove_file(&snapshot);
+    let (session_cold, loaded, designs) = persisted_session(&snapshot);
+    assert_eq!(loaded, 0, "the cold session starts empty");
+    assert!(designs > 0, "the cold session saves its designs");
+    let (session_warm, loaded, _) = persisted_session(&snapshot);
+    assert_eq!(loaded, designs, "the warm session loads every design");
+
+    let round = Round {
+        cold,
+        warm,
+        first,
+        streamed,
+        sharded,
+        merge_peak_resident_bytes,
+        served,
+        job_latencies,
+        session_cold,
+        session_warm,
+        designs,
+    };
+    println!(
+        "bench_check: stress cold {:.2}s warm {:.2}s first {:.1}ms streamed {:.2}s \
+         sharded {:.2}s served {:.2}s session cold {:.2}s warm {:.2}s",
+        cold / 1e9,
+        warm / 1e9,
+        first / 1e6,
+        streamed / 1e9,
+        sharded / 1e9,
+        served / 1e9,
+        session_cold / 1e9,
+        session_warm / 1e9,
+    );
+    round
+}
+
+fn main() -> ExitCode {
+    let search = search_ratio();
+    let six_profile = six_profile_ratio();
+
+    let spec = stress_spec(POINTS);
+    assert_eq!(spec.total_len(), ITEMS);
+    let dir = std::env::temp_dir().join(format!("qre-bench-check-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let rounds: Vec<Round> = (0..ROUNDS).map(|_| stress_round(&spec, &dir)).collect();
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    let peak_rss = qre_par::peak_rss_bytes();
+
+    let over = |f: fn(&Round) -> f64| median(rounds.iter().map(f).collect());
+    let checks = [
+        ("search_exhaustive_over_pruned", search, SEARCH),
+        ("six_profile_cold_over_warm", six_profile, SIX_PROFILE),
+        (
+            "stress_cold_over_warm",
+            over(|r| r.cold / r.warm),
+            STRESS_WARM,
+        ),
+        (
+            "stress_streamed_all_over_first",
+            over(|r| r.streamed / r.first),
+            FIRST_ITEM,
+        ),
+        (
+            "stress_streamed_over_cold",
+            over(|r| r.streamed / r.cold),
+            STREAMED,
+        ),
+        (
+            "stress_sharded_merged_over_cold",
+            over(|r| r.sharded / r.cold),
+            SHARDED,
+        ),
+        (
+            "stress_served_over_cold",
+            over(|r| r.served / r.cold),
+            SERVED,
+        ),
+        (
+            "stress_cold_session_over_persisted_warm",
+            over(|r| r.session_cold / r.session_warm),
+            PERSISTED,
+        ),
+    ];
+
+    let mut failures = Vec::new();
+    for &(name, value, bound) in &checks {
+        let (kind, b) = bound.parts();
+        let verdict = if bound.holds(value) { "ok" } else { "FAIL" };
+        println!("  {name:<40} {value:>8.2}  {kind:<7} {b:<5} {verdict}");
+        if !bound.holds(value) {
+            failures.push(format!("{name} = {value:.2} crosses its {kind} {b}"));
+        }
+    }
+    match peak_rss {
+        Some(bytes) => {
+            println!(
+                "  {:<40} {bytes}  ceiling {PEAK_RSS_CEILING}",
+                "peak_rss_bytes"
+            );
+            if bytes > PEAK_RSS_CEILING {
+                failures.push(format!(
+                    "peak_rss_bytes = {bytes} exceeds {PEAK_RSS_CEILING}"
+                ));
+            }
+        }
+        None => println!("  peak_rss_bytes unavailable on this platform (ceiling not checked)"),
+    }
+
+    let record = scale_record(&rounds, &checks, peak_rss);
+    match qre_bench::write_artifact("BENCH_scale.json", &record) {
+        Ok(path) => println!("bench_check: wrote {}", path.display()),
+        Err(e) => failures.push(format!("cannot write BENCH_scale.json: {e}")),
+    }
+
+    if failures.is_empty() {
         println!("bench_check: OK");
         ExitCode::SUCCESS
     } else {
+        for failure in &failures {
+            eprintln!("bench_check: FAIL {failure}");
+        }
         ExitCode::FAILURE
     }
+}
+
+/// The run's record: per-mode stress medians, every gated ratio with its
+/// bound, and the peak RSS with its ceiling.
+fn scale_record(rounds: &[Round], checks: &[(&str, f64, Bound)], peak_rss: Option<u64>) -> String {
+    let over = |f: fn(&Round) -> f64| median(rounds.iter().map(f).collect());
+    let mode = |ns: f64| {
+        let items_per_sec = ITEMS as f64 / (ns / 1e9);
+        ObjectBuilder::new()
+            .field("elapsed_ns", ns as u64)
+            .field("items_per_sec", round_to(items_per_sec, 1))
+    };
+    let mut latencies: Vec<f64> = rounds
+        .iter()
+        .flat_map(|r| r.job_latencies.iter().copied())
+        .collect();
+    latencies.sort_by(f64::total_cmp);
+    let percentile = |p: f64| latencies[((latencies.len() - 1) as f64 * p).round() as usize];
+    let served_ns = over(|r| r.served);
+    let jobs = CLIENTS * JOBS_PER_CLIENT;
+    let merge_peak = rounds.iter().map(|r| r.merge_peak_resident_bytes).max();
+
+    let results = ObjectBuilder::new()
+        .field("cold", mode(over(|r| r.cold)).build())
+        .field("warm", mode(over(|r| r.warm)).build())
+        .field(
+            "streamed",
+            mode(over(|r| r.streamed))
+                .field("first_item_ns", over(|r| r.first) as u64)
+                .build(),
+        )
+        .field(
+            "sharded_merged",
+            mode(over(|r| r.sharded))
+                .field("shards", SHARDS)
+                .field_opt("merge_peak_resident_bytes", merge_peak)
+                .build(),
+        )
+        .field(
+            "served",
+            mode(served_ns)
+                .field("clients", CLIENTS)
+                .field("jobs", jobs)
+                .field("jobs_per_sec", round_to(jobs as f64 / (served_ns / 1e9), 2))
+                .field("p50_job_ns", percentile(0.50) as u64)
+                .field("p99_job_ns", percentile(0.99) as u64)
+                .build(),
+        )
+        .field(
+            "persisted",
+            ObjectBuilder::new()
+                .field("cold_session_ns", over(|r| r.session_cold) as u64)
+                .field("warm_session_ns", over(|r| r.session_warm) as u64)
+                .field("designs", rounds[0].designs)
+                .build(),
+        )
+        .build();
+    let ratios = checks
+        .iter()
+        .fold(ObjectBuilder::new(), |doc, &(name, value, bound)| {
+            let (kind, b) = bound.parts();
+            let ratio = ObjectBuilder::new()
+                .field("value", round_to(value, 2))
+                .field(kind, b);
+            doc.field(name, ratio.build())
+        })
+        .build();
+    ObjectBuilder::new()
+        .field("benchmark", "scale_stress_sweep")
+        .field(
+            "description",
+            "The perf gate's record. The 10,080-item qre-stress matrix (120 workloads x 6 \
+             profiles x 14 budgets) run cold, warm, streamed, sharded-and-merged (8 shard serve \
+             sessions + streaming index join), served (loopback TCP, 4 clients x 4 shard jobs) \
+             and through a cold then a snapshot-warm --cache-file session; per-mode values are \
+             medians over the rounds. Every ratio is taken within this run and held to the \
+             bound beside it; peak_rss_bytes is the process high-water (VmHWM) after all modes.",
+        )
+        .field(
+            "command",
+            "cargo run --release -p qre-bench --bin bench_check",
+        )
+        .field("items", ITEMS)
+        .field("rounds", rounds.len())
+        .field("results", results)
+        .field("ratios", ratios)
+        .field_opt("peak_rss_bytes", peak_rss)
+        .field("peak_rss_ceiling_bytes", PEAK_RSS_CEILING)
+        .build()
+        .to_string_pretty()
+        + "\n"
 }

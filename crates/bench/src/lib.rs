@@ -471,9 +471,8 @@ pub fn format_claims(checks: &[ClaimCheck]) -> String {
 /// path.
 ///
 /// Anchored at the workspace root (two levels above this crate) rather than
-/// the current directory: cargo runs bench executables with the *package*
-/// directory as CWD, which would otherwise scatter artifacts into
-/// `crates/bench/target/` where CI's artifact upload cannot find them.
+/// the current directory, so the binaries write to the one place CI's
+/// artifact upload reads, whatever directory they run from.
 pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()

@@ -3,8 +3,8 @@
 //! The paper's evaluation sweeps ~30 points; design-space studies at
 //! service scale sweep thousands. This module synthesizes a reproducible
 //! ~10k-point sweep matrix (workloads × the six default hardware profiles ×
-//! error budgets) used by the scale bench (`benches/stress.rs`, committed
-//! as `BENCH_scale.json`), the `QRE_SOAK=1` equivalence soaks, and anyone
+//! error budgets) used by the perf gate (`bench_check`, recorded as
+//! `BENCH_scale.json`), the `QRE_SOAK=1` equivalence soaks, and anyone
 //! who wants to stress a live `qre serve` from the command line:
 //!
 //! ```text

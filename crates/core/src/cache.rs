@@ -430,16 +430,6 @@ impl SearchCountersAtomic {
             },
         }
     }
-
-    fn reset(&self) {
-        self.searches.store(0, Ordering::Relaxed);
-        self.seeded_searches.store(0, Ordering::Relaxed);
-        self.nodes_expanded.store(0, Ordering::Relaxed);
-        self.nodes_pruned_bound.store(0, Ordering::Relaxed);
-        self.nodes_pruned_dominated.store(0, Ordering::Relaxed);
-        self.memo_hits.store(0, Ordering::Relaxed);
-        self.factories_realised.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Monotonic discriminator for temporary snapshot files, so concurrent
@@ -555,22 +545,6 @@ impl FactoryCache {
             evictions: store.evictions,
             capacity: store.capacity,
         }
-    }
-
-    /// Drop every stored design, reset the eviction count, and reset this
-    /// view's counters. The store is shared with every
-    /// [`FactoryCache::scoped`] sibling, so their entries disappear too;
-    /// their hit/miss counters are their own and keep counting. The
-    /// capacity bound is kept.
-    pub fn clear(&self) {
-        let mut store = self.store.lock().expect("factory cache lock");
-        store.entries.clear();
-        store.evictions = 0;
-        store.family_bounds.clear();
-        drop(store);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.search.reset();
     }
 
     /// Serialize the store as a versioned snapshot document (see the module
@@ -958,17 +932,6 @@ mod tests {
         assert_eq!(base.stats().hits, 1);
     }
 
-    #[test]
-    fn clear_resets_everything() {
-        let (b, q, s) = problem();
-        let cache = FactoryCache::new();
-        cache.find_factory(&b, &q, &s, 1e-10).unwrap();
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-        assert_eq!(stats.evictions, 0);
-    }
-
     /// Distinct design problems: the same scenario at progressively tighter
     /// requirements (each `required` is part of the key).
     fn requirement(i: usize) -> f64 {
@@ -1175,9 +1138,6 @@ mod tests {
         job.find_factory(&b, &q, &s, 1e-10).unwrap();
         assert_eq!(job.search_counters().searches, 0, "hit runs no search");
         assert_eq!(base.search_counters().searches, 1);
-
-        base.clear();
-        assert_eq!(base.search_counters(), SearchCounters::default());
     }
 
     #[test]

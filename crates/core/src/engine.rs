@@ -166,7 +166,7 @@ impl Estimator {
     pub fn sweep_stream(&self, spec: &SweepSpec) -> Result<SweepStream> {
         let items = spec.expand()?;
         let cache = Arc::clone(&self.cache);
-        Ok(OutcomeStream::spawn(items.len(), move |sender| {
+        Ok(SweepStream::spawn(items.len(), move |sender| {
             let engine = Estimator::with_cache(cache);
             qre_par::parallel_map_streamed_until(
                 &items,
@@ -236,19 +236,16 @@ impl Estimator {
 /// exhausted or dropped; a panic raised by an item propagates to the
 /// consumer at that join.
 #[derive(Debug)]
-pub struct OutcomeStream<O> {
+pub struct SweepStream {
     /// `Some` until the stream ends or is dropped; dropping the receiver is
     /// the hang-up signal that stops the background run early.
-    receiver: Option<mpsc::Receiver<O>>,
+    receiver: Option<mpsc::Receiver<SweepOutcome>>,
     worker: Option<std::thread::JoinHandle<()>>,
     total: usize,
     delivered: usize,
 }
 
-/// Completion-order iterator over [`SweepOutcome`]s.
-pub type SweepStream = OutcomeStream<SweepOutcome>;
-
-impl<O: Send + 'static> OutcomeStream<O> {
+impl SweepStream {
     /// Run `work` on a background thread feeding this stream's channel. The
     /// nested-parallelism guard of the calling thread is replayed on the
     /// background thread, so a stream opened from inside a parallel worker
@@ -260,7 +257,7 @@ impl<O: Send + 'static> OutcomeStream<O> {
     /// of letting it buffer the whole sweep's outcomes in memory.
     fn spawn<W>(total: usize, work: W) -> Self
     where
-        W: FnOnce(mpsc::SyncSender<O>) + Send + 'static,
+        W: FnOnce(mpsc::SyncSender<SweepOutcome>) + Send + 'static,
     {
         let (sender, receiver) = mpsc::sync_channel(qre_par::streamed_buffer_bound(
             qre_par::max_threads().min(total.max(1)),
@@ -270,16 +267,14 @@ impl<O: Send + 'static> OutcomeStream<O> {
             qre_par::set_in_parallel_worker(in_worker);
             work(sender);
         });
-        OutcomeStream {
+        SweepStream {
             receiver: Some(receiver),
             worker: Some(worker),
             total,
             delivered: 0,
         }
     }
-}
 
-impl<O> OutcomeStream<O> {
     /// Total number of items the underlying sweep executes.
     pub fn total(&self) -> usize {
         self.total
@@ -300,10 +295,10 @@ impl<O> OutcomeStream<O> {
     }
 }
 
-impl<O> Iterator for OutcomeStream<O> {
-    type Item = O;
+impl Iterator for SweepStream {
+    type Item = SweepOutcome;
 
-    fn next(&mut self) -> Option<O> {
+    fn next(&mut self) -> Option<SweepOutcome> {
         match self.receiver.as_ref().and_then(|r| r.recv().ok()) {
             Some(outcome) => {
                 self.delivered += 1;
@@ -325,7 +320,7 @@ impl<O> Iterator for OutcomeStream<O> {
     }
 }
 
-impl<O> Drop for OutcomeStream<O> {
+impl Drop for SweepStream {
     fn drop(&mut self) {
         // Hang up first: the background run sees the closed channel, stops
         // claiming items, and winds down after only the in-flight ones.
@@ -450,8 +445,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "stream worker boom")]
     fn stream_worker_panic_propagates_to_consumer() {
-        let stream: OutcomeStream<u32> = OutcomeStream::spawn(2, |sender| {
-            sender.send(1).unwrap();
+        let spec = SweepSpec::new()
+            .workload("w", counts(1_000))
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .total_error_budget(1e-3);
+        let (point, _) = spec.expand().unwrap().swap_remove(0);
+        let stream = SweepStream::spawn(2, |sender| {
+            sender
+                .send(SweepOutcome {
+                    point,
+                    outcome: Err(crate::Error::InvalidInput("first".into())),
+                })
+                .unwrap();
             panic!("stream worker boom");
         });
         // The delivered item arrives; the panic re-raises at the `next()`

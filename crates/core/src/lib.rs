@@ -57,7 +57,7 @@ mod tfactory;
 
 pub use budget::{ErrorBudget, PartitionSearch};
 pub use cache::{CacheStats, FactoryCache, SearchCounters, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
-pub use engine::{merge_indexed, Estimator, OutcomeStream, SweepOutcome, SweepStream};
+pub use engine::{merge_indexed, Estimator, SweepOutcome, SweepStream};
 pub use error::{Error, Result};
 pub use estimate::Constraints;
 pub use frontier::FrontierPoint;

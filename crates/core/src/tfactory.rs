@@ -60,8 +60,8 @@
 //! which is retained as [`TFactoryBuilder::find_factories_exhaustive`] /
 //! [`TFactoryBuilder::find_factory_exhaustive`] — the differential oracle
 //! for the `pruned_search_equals_exhaustive` property and the baseline the
-//! `tfactory_search` benches measure against. [`SearchStats`] counts what
-//! the pruning actually did.
+//! perf gate's exhaustive/pruned ratio measures against. [`SearchStats`]
+//! counts what the pruning actually did.
 
 use crate::error::{Error, Result};
 use crate::physical_qubit::PhysicalQubit;
@@ -711,8 +711,8 @@ impl TFactoryBuilder {
     }
 
     /// The original exhaustive enumerator, retained as the differential
-    /// oracle for the pruned search (and as the cold baseline the
-    /// `tfactory_search` benches measure pruning against). Same contract as
+    /// oracle for the pruned search (and as the cold baseline the perf
+    /// gate measures pruning against). Same contract as
     /// [`TFactoryBuilder::find_factories`]; every result is byte-identical.
     pub fn find_factories_exhaustive(
         &self,

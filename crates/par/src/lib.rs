@@ -14,7 +14,7 @@
 //!   claims the next index; no work item is ever processed twice),
 //! * a single streamed execution core ([`parallel_map_streamed`]) that hands
 //!   `(index, result)` pairs to the caller **as workers finish**; the
-//!   collecting entry points stitch those pairs back into input order, so
+//!   collecting entry point stitches those pairs back into input order, so
 //!   `parallel_map` is a drop-in replacement for `iter().map().collect()`,
 //! * panics in workers propagate to the caller (the scope re-raises them on
 //!   join), preserving the fail-fast behaviour of sequential code.
@@ -55,7 +55,21 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_indexed(items, |_, item| f(item))
+    // Collecting is streaming plus order restoration: place each delivered
+    // pair at its recorded index.
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    parallel_map_streamed(
+        items,
+        |_, item| f(item),
+        |i, r| {
+            debug_assert!(slots[i].is_none(), "index {i} produced twice");
+            slots[i] = Some(r);
+        },
+    );
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index processed exactly once"))
+        .collect()
 }
 
 thread_local! {
@@ -80,26 +94,6 @@ pub fn in_parallel_worker() -> bool {
 /// [`in_parallel_worker`].
 pub fn set_in_parallel_worker(value: bool) {
     IN_PARALLEL_WORKER.with(|flag| flag.set(value));
-}
-
-/// Like [`parallel_map`], but `f` also receives the element index.
-pub fn parallel_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    // Collecting is streaming plus order restoration: place each delivered
-    // pair at its recorded index.
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    parallel_map_streamed(items, f, |i, r| {
-        debug_assert!(slots[i].is_none(), "index {i} produced twice");
-        slots[i] = Some(r);
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index processed exactly once"))
-        .collect()
 }
 
 /// The streamed execution core: apply `f` to every element in parallel and
@@ -372,55 +366,6 @@ impl ShutdownSignal {
     }
 }
 
-/// Parallel minimisation: return the element of `items` minimising `key`,
-/// along with its key. Ties resolve to the earliest index, matching
-/// `Iterator::min_by`'s "first minimum" contract for stable selection.
-pub fn parallel_min_by_key<T, K, F>(items: &[T], key: F) -> Option<(usize, K)>
-where
-    T: Sync,
-    K: PartialOrd + Send,
-    F: Fn(&T) -> K + Sync,
-{
-    let keys = parallel_map(items, &key);
-    let mut best: Option<(usize, K)> = None;
-    for (i, k) in keys.into_iter().enumerate() {
-        let better = match &best {
-            None => true,
-            Some((_, bk)) => k < *bk,
-        };
-        if better {
-            best = Some((i, k));
-        }
-    }
-    best
-}
-
-/// Cartesian product of two parameter axes, in row-major order — the shape of
-/// the paper's Figure 3/4 sweeps (algorithms × input sizes, algorithms ×
-/// hardware profiles).
-pub fn cartesian2<A: Clone, B: Clone>(xs: &[A], ys: &[B]) -> Vec<(A, B)> {
-    let mut out = Vec::with_capacity(xs.len() * ys.len());
-    for x in xs {
-        for y in ys {
-            out.push((x.clone(), y.clone()));
-        }
-    }
-    out
-}
-
-/// Cartesian product of three parameter axes, in row-major order.
-pub fn cartesian3<A: Clone, B: Clone, C: Clone>(xs: &[A], ys: &[B], zs: &[C]) -> Vec<(A, B, C)> {
-    let mut out = Vec::with_capacity(xs.len() * ys.len() * zs.len());
-    for x in xs {
-        for y in ys {
-            for z in zs {
-                out.push((x.clone(), y.clone(), z.clone()));
-            }
-        }
-    }
-    out
-}
-
 /// Parse one `kB` line of `/proc/self/status` (e.g. `VmHWM:  123456 kB`)
 /// into bytes.
 fn proc_status_kb(status: &str, field: &str) -> Option<u64> {
@@ -501,13 +446,6 @@ mod tests {
         });
         assert_eq!(counter.load(Ordering::Relaxed), 513);
         assert_eq!(out.len(), 513);
-    }
-
-    #[test]
-    fn indexed_variant_sees_correct_indices() {
-        let items = vec!["a", "b", "c"];
-        let out = parallel_map_indexed(&items, |i, s| format!("{i}:{s}"));
-        assert_eq!(out, vec!["0:a", "1:b", "2:c"]);
     }
 
     #[test]
@@ -743,24 +681,6 @@ mod tests {
                  consumer (bound {cap})"
             );
         }
-    }
-
-    #[test]
-    fn min_by_key_first_minimum_wins() {
-        let items = vec![3u64, 1, 4, 1, 5];
-        let (idx, key) = parallel_min_by_key(&items, |&x| x).unwrap();
-        assert_eq!((idx, key), (1, 1));
-        assert!(parallel_min_by_key::<u64, u64, _>(&[], |&x| x).is_none());
-    }
-
-    #[test]
-    fn cartesian_products() {
-        let xy = cartesian2(&[1, 2], &["a", "b", "c"]);
-        assert_eq!(xy.len(), 6);
-        assert_eq!(xy[0], (1, "a"));
-        assert_eq!(xy[5], (2, "c"));
-        let xyz = cartesian3(&[1], &[2, 3], &[4, 5]);
-        assert_eq!(xyz, vec![(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5)]);
     }
 
     #[test]

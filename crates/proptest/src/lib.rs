@@ -1,5 +1,4 @@
-//! Offline stand-in for [proptest](https://github.com/proptest-rs/proptest),
-//! in the same spirit as the workspace's `crates/criterion` shim.
+//! Offline stand-in for [proptest](https://github.com/proptest-rs/proptest).
 //!
 //! The workspace builds without network access, so the real `proptest`
 //! crate cannot be vendored; this crate implements the subset of its API

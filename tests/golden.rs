@@ -144,14 +144,50 @@ fn karatsuba_256_maj_ns_e4_floquet() {
     check_golden("karatsuba_256_maj_ns_e4_floquet.json", &r);
 }
 
+/// The rotation-synthesis path end to end: 16-bit phase estimation over
+/// the controlled Trotter step of `examples/phase_estimation.rs` on
+/// qubit_gate_ns_e4 with the surface code at 1e-3. Every other fixture is
+/// rotation-free, so this one alone pins the ε_syn budget slice, the
+/// per-rotation T cost `⌈0.53·log₂(M_R/ε_syn) + 5.3⌉` and the
+/// rotation-depth term of the algorithmic depth.
+#[test]
+fn qpe_16_gate_ns_e4_surface() {
+    use qre::arith::qpe::qpe_counts;
+    use qre::circuit::LogicalCounts;
+
+    let controlled_step = LogicalCounts::builder()
+        .logical_qubits(60)
+        .t_gates(4_000)
+        .ccz_gates(1_500)
+        .rotations(800)
+        .rotation_depth(120)
+        .measurements(200)
+        .build();
+    let request = EstimateRequest::builder()
+        .counts(qpe_counts(16, &controlled_step))
+        .profile(HardwareProfile::qubit_gate_ns_e4())
+        .qec(QecSchemeKind::SurfaceCode)
+        .total_error_budget(1e-3)
+        .build()
+        .unwrap();
+    let r = Estimator::new().estimate(&request).unwrap();
+    assert!(r.breakdown.t_states_per_rotation > 0);
+    check_golden("qpe_16_gate_ns_e4_surface.json", &r);
+}
+
 /// The searched-partition frontier for the gate-based 512-bit scenario: the
 /// two-axis (budget partition × factory cap) search's full Pareto set, one
 /// object per point carrying the factory cap and the budget partition that
 /// produced it. Pins down the whole search — grid construction, cap-ladder
 /// union, Pareto reduction, and provenance — against numeric drift.
+///
+/// The same request's fixed-thirds frontier runs alongside, and the payoff
+/// of searching the partition is pinned exactly: the searched best points
+/// use 1.1368× fewer physical qubits and 1.0952× less runtime, because the
+/// rotation-free workload gets back the synthesis third of the budget.
 #[test]
 fn frontier_searched_windowed_512_gate_ns_e3() {
-    use qre::estimator::{EstimateRequest, Estimator, PartitionSearch};
+    use qre::estimator::{EstimateRequest, Estimator, FrontierPoint, PartitionSearch};
     use qre::json::{ObjectBuilder, Value};
 
     let request = EstimateRequest::builder()
@@ -179,6 +215,22 @@ fn frontier_searched_windowed_512_gate_ns_e3() {
     .to_string_pretty()
         + "\n";
     check_golden_text("frontier_searched_windowed_512_gate_ns_e3.json", rendered);
+
+    let fixed = Estimator::new().frontier(&request).unwrap();
+    let best = |points: &[FrontierPoint]| {
+        let qubits = points
+            .iter()
+            .map(|p| p.result.physical_counts.physical_qubits)
+            .min()
+            .unwrap();
+        let runtime = points
+            .iter()
+            .map(|p| p.result.physical_counts.runtime_ns)
+            .fold(f64::INFINITY, f64::min);
+        (qubits, runtime)
+    };
+    assert_eq!(best(&fixed), (5_726_850, 3_097_456_000.0));
+    assert_eq!(best(&points), (5_037_650, 2_828_112_000.0));
 }
 
 /// The fixtures themselves must stay in sync with this test file: every
@@ -195,6 +247,7 @@ fn fixture_directory_has_no_strays() {
         "windowed_512_gate_ns_e3_surface.json",
         "karatsuba_256_maj_ns_e4_floquet.json",
         "frontier_searched_windowed_512_gate_ns_e3.json",
+        "qpe_16_gate_ns_e4_surface.json",
     ];
     let mut found: Vec<String> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("failed to list {}: {e}", dir.display()))

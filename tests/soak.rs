@@ -27,7 +27,8 @@ use qre_cli::{
 };
 use qre_json::Value;
 
-/// Shard count of the sharded topologies (matches `benches/stress.rs`).
+/// Shard count of the sharded topologies (matches the perf gate's
+/// sharded-and-merged mode).
 const SHARDS: usize = 8;
 
 /// The soak's matrix size: `QRE_SOAK_POINTS` wins, then `QRE_SOAK=1`
