@@ -2,8 +2,14 @@
 //! to a bound written beside it, plus a peak-RSS ceiling.
 //!
 //! Both sides of every ratio run in this one process, back to back, so
-//! machine speed cancels out. Each bound sits where a 2× slowdown of the
-//! side it guards crosses it:
+//! the machine's speed largely cancels out. Its worker count does not:
+//! warm sweeps slow down as `qre_par` workers are added while cold ones
+//! speed up, so the bounds hold at the two workers they were placed at
+//! (`QRE_THREADS=2`, as CI runs the gate). A uniform slowdown of the whole
+//! estimate path moves both sides of every ratio alike, so the gate cannot
+//! see it; only an A/B run of the `ledger/` benchmark against the parent
+//! commit does. Each bound sits where a 2× slowdown of the side it guards
+//! crosses it:
 //!
 //! * **search** — the branch-and-bound T-factory search against the
 //!   retained exhaustive enumerator on the paper's Figure 3 problem
@@ -16,16 +22,17 @@
 //!   Each round measures:
 //!   - a cold engine, then the same engine again warm (cold/warm guards the
 //!     warm sweep);
+//!   - the cold engine's designs saved to a snapshot file and loaded into
+//!     an empty store, which must then answer a whole sweep without one
+//!     search (cold/load and cold/save guard the snapshot load and save
+//!     against the cold sweep whose searches they replace);
 //!   - `sweep_stream` on a fresh engine, to its first item and to
 //!     exhaustion (all/first guards time to first result, streamed/cold
 //!     guards streamed throughput);
 //!   - eight shard jobs through their own cold `run_session`, joined by
 //!     `merge_files` (sharded/cold guards the shard-and-merge pipeline);
 //!   - a fresh loopback `listen_serve` under four clients of four shard
-//!     jobs each (served/cold guards the TCP service path);
-//!   - one `--cache-file` serve session from an empty store, then one
-//!     loaded from its snapshot (cold/warm session guards the persisted
-//!     warm session).
+//!     jobs each (served/cold guards the TCP service path).
 //!
 //! Each stress ratio is the median over the rounds. After the last round
 //! the process peak RSS is held to a ceiling. The run's numbers are
@@ -34,7 +41,7 @@
 //! is crossed.
 //!
 //! ```text
-//! cargo run --release -p qre-bench --bin bench_check
+//! QRE_THREADS=2 cargo run --release -p qre-bench --bin bench_check
 //! ```
 
 use std::io::{BufRead, BufReader, Write};
@@ -46,10 +53,10 @@ use std::time::Instant;
 
 use qre_circuit::LogicalCounts;
 use qre_cli::{
-    listen_serve, merge_files, run_session, serve, stress_job_line, stress_spec, ServeOptions,
+    listen_serve, merge_files, run_session, stress_job_line, stress_spec, ServeOptions,
     ServeShared, SessionConfig,
 };
-use qre_core::{Estimator, PhysicalQubit, QecScheme, SweepSpec, TFactoryBuilder};
+use qre_core::{Estimator, FactoryCache, PhysicalQubit, QecScheme, SweepSpec, TFactoryBuilder};
 use qre_json::ObjectBuilder;
 
 /// `qre stress` point count; rounds up to whole 84-item workload rows.
@@ -67,6 +74,8 @@ const CLIENTS: usize = 4;
 const JOBS_PER_CLIENT: usize = 4;
 /// The Figure 3 distillation requirement of the search ratio.
 const REQUIRED_T_ERROR: f64 = 7.2e-12;
+/// `qre_par` worker count the bounds were placed at.
+const WORKERS: usize = 2;
 
 /// Exhaustive / pruned search; guards the branch-and-bound search.
 const SEARCH: Bound = Bound::Floor(100.0);
@@ -84,10 +93,10 @@ const STREAMED: Bound = Bound::Ceiling(1.6);
 const SHARDED: Bound = Bound::Ceiling(4.0);
 /// Stress served over TCP / cold; guards the served path.
 const SERVED: Bound = Bound::Ceiling(2.1);
-/// Cold session / snapshot-warm session; guards the persisted warm
-/// session. Both sessions render and write every record and save the
-/// snapshot, which dominates them, so the unslowed ratio is only ≈ 1.1.
-const PERSISTED: Bound = Bound::Floor(0.8);
+/// Stress cold / snapshot load of its designs; guards the snapshot load.
+const SNAPSHOT_LOAD: Bound = Bound::Floor(2.6);
+/// Stress cold / snapshot save of its designs; guards the snapshot save.
+const SNAPSHOT_SAVE: Bound = Bound::Floor(2.9);
 /// Ceiling of the process peak RSS (`VmHWM`) after every mode.
 const PEAK_RSS_CEILING: u64 = 1 << 30;
 
@@ -125,8 +134,8 @@ struct Round {
     merge_peak_resident_bytes: usize,
     served: f64,
     job_latencies: Vec<f64>,
-    session_cold: f64,
-    session_warm: f64,
+    save: f64,
+    load: f64,
     designs: usize,
 }
 
@@ -375,38 +384,37 @@ fn serve_over_tcp() -> (f64, Vec<f64>) {
     (elapsed, latencies)
 }
 
-/// The whole matrix as one job through a `--cache-file` serve session:
-/// (elapsed, designs loaded, designs saved).
-fn persisted_session(snapshot: &Path) -> (f64, usize, usize) {
-    let options = ServeOptions {
-        max_in_flight: 1,
-        cache_file: Some(snapshot.to_path_buf()),
-        save_every: 0,
-        ..ServeOptions::default()
-    };
-    let input = stress_job_line(POINTS, None, false) + "\n";
+/// Save `engine`'s designs to a snapshot file and load them into an empty
+/// store, which must then run the matrix without one factory search:
+/// (save, load, designs).
+fn snapshot_round_trip(engine: &Estimator, spec: &SweepSpec, dir: &Path) -> (f64, f64, usize) {
+    let path = dir.join("designs.json");
     let start = Instant::now();
-    let summary = serve(input.as_bytes(), &mut std::io::sink(), &options).expect("session runs");
-    let elapsed = elapsed_ns(start);
-    assert_eq!(summary.job_errors, 0);
-    (elapsed, summary.designs_loaded, summary.designs_saved)
+    let saved = engine.cache().save(&path).expect("save the snapshot");
+    let save = elapsed_ns(start);
+    let cache = FactoryCache::new();
+    let start = Instant::now();
+    let loaded = cache.load(&path).expect("load the snapshot");
+    let load = elapsed_ns(start);
+    assert_eq!(loaded, saved, "the load keeps every saved design");
+    let warm = Estimator::with_cache(Arc::new(cache));
+    sweep_all(&warm, spec);
+    assert_eq!(
+        warm.cache_stats().misses,
+        0,
+        "the loaded store answers every search"
+    );
+    (save, load, saved)
 }
 
 fn stress_round(spec: &SweepSpec, dir: &Path) -> Round {
     let engine = Estimator::new();
     let cold = sweep_all(&engine, spec);
     let warm = sweep_all(&engine, spec);
+    let (save, load, designs) = snapshot_round_trip(&engine, spec, dir);
     let (first, streamed) = stream_all(spec);
     let (sharded, merge_peak_resident_bytes) = shard_and_merge(dir);
     let (served, job_latencies) = serve_over_tcp();
-
-    let snapshot = dir.join("designs.json");
-    let _ = std::fs::remove_file(&snapshot);
-    let (session_cold, loaded, designs) = persisted_session(&snapshot);
-    assert_eq!(loaded, 0, "the cold session starts empty");
-    assert!(designs > 0, "the cold session saves its designs");
-    let (session_warm, loaded, _) = persisted_session(&snapshot);
-    assert_eq!(loaded, designs, "the warm session loads every design");
 
     let round = Round {
         cold,
@@ -417,26 +425,33 @@ fn stress_round(spec: &SweepSpec, dir: &Path) -> Round {
         merge_peak_resident_bytes,
         served,
         job_latencies,
-        session_cold,
-        session_warm,
+        save,
+        load,
         designs,
     };
     println!(
-        "bench_check: stress cold {:.2}s warm {:.2}s first {:.1}ms streamed {:.2}s \
-         sharded {:.2}s served {:.2}s session cold {:.2}s warm {:.2}s",
+        "bench_check: stress cold {:.2}s warm {:.2}s save {:.1}ms load {:.1}ms \
+         first {:.1}ms streamed {:.2}s sharded {:.2}s served {:.2}s",
         cold / 1e9,
         warm / 1e9,
+        save / 1e6,
+        load / 1e6,
         first / 1e6,
         streamed / 1e9,
         sharded / 1e9,
         served / 1e9,
-        session_cold / 1e9,
-        session_warm / 1e9,
     );
     round
 }
 
 fn main() -> ExitCode {
+    let workers = qre_par::max_threads();
+    if workers != WORKERS {
+        println!(
+            "bench_check: note: {workers} workers; the bounds were placed at {WORKERS} \
+             (run with QRE_THREADS={WORKERS})"
+        );
+    }
     let search = search_ratio();
     let six_profile = six_profile_ratio();
 
@@ -478,9 +493,14 @@ fn main() -> ExitCode {
             SERVED,
         ),
         (
-            "stress_cold_session_over_persisted_warm",
-            over(|r| r.session_cold / r.session_warm),
-            PERSISTED,
+            "stress_cold_over_snapshot_load",
+            over(|r| r.cold / r.load),
+            SNAPSHOT_LOAD,
+        ),
+        (
+            "stress_cold_over_snapshot_save",
+            over(|r| r.cold / r.save),
+            SNAPSHOT_SAVE,
         ),
     ];
 
@@ -508,7 +528,7 @@ fn main() -> ExitCode {
         None => println!("  peak_rss_bytes unavailable on this platform (ceiling not checked)"),
     }
 
-    let record = scale_record(&rounds, &checks, peak_rss);
+    let record = scale_record(&rounds, &checks, peak_rss, workers);
     match qre_bench::write_artifact("BENCH_scale.json", &record) {
         Ok(path) => println!("bench_check: wrote {}", path.display()),
         Err(e) => failures.push(format!("cannot write BENCH_scale.json: {e}")),
@@ -527,7 +547,12 @@ fn main() -> ExitCode {
 
 /// The run's record: per-mode stress medians, every gated ratio with its
 /// bound, and the peak RSS with its ceiling.
-fn scale_record(rounds: &[Round], checks: &[(&str, f64, Bound)], peak_rss: Option<u64>) -> String {
+fn scale_record(
+    rounds: &[Round],
+    checks: &[(&str, f64, Bound)],
+    peak_rss: Option<u64>,
+    workers: usize,
+) -> String {
     let over = |f: fn(&Round) -> f64| median(rounds.iter().map(f).collect());
     let mode = |ns: f64| {
         let items_per_sec = ITEMS as f64 / (ns / 1e9);
@@ -572,10 +597,10 @@ fn scale_record(rounds: &[Round], checks: &[(&str, f64, Bound)], peak_rss: Optio
                 .build(),
         )
         .field(
-            "persisted",
+            "snapshot",
             ObjectBuilder::new()
-                .field("cold_session_ns", over(|r| r.session_cold) as u64)
-                .field("warm_session_ns", over(|r| r.session_warm) as u64)
+                .field("save_ns", over(|r| r.save) as u64)
+                .field("load_ns", over(|r| r.load) as u64)
                 .field("designs", rounds[0].designs)
                 .build(),
         )
@@ -596,15 +621,17 @@ fn scale_record(rounds: &[Round], checks: &[(&str, f64, Bound)], peak_rss: Optio
             "description",
             "The perf gate's record. The 10,080-item qre-stress matrix (120 workloads x 6 \
              profiles x 14 budgets) run cold, warm, streamed, sharded-and-merged (8 shard serve \
-             sessions + streaming index join), served (loopback TCP, 4 clients x 4 shard jobs) \
-             and through a cold then a snapshot-warm --cache-file session; per-mode values are \
-             medians over the rounds. Every ratio is taken within this run and held to the \
-             bound beside it; peak_rss_bytes is the process high-water (VmHWM) after all modes.",
+             sessions + streaming index join) and served (loopback TCP, 4 clients x 4 shard \
+             jobs), with the cold engine's designs saved to a snapshot file and loaded into an \
+             empty store; per-mode values are medians over the rounds. Every ratio is taken \
+             within this run and held to the bound beside it, placed at the worker count given \
+             here; peak_rss_bytes is the process high-water (VmHWM) after all modes.",
         )
         .field(
             "command",
-            "cargo run --release -p qre-bench --bin bench_check",
+            "QRE_THREADS=2 cargo run --release -p qre-bench --bin bench_check",
         )
+        .field("workers", workers)
         .field("items", ITEMS)
         .field("rounds", rounds.len())
         .field("results", results)
