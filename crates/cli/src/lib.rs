@@ -81,6 +81,8 @@ pub use serve::{run_session, serve, ServeOptions, ServeShared, ServeSummary, Ses
 pub use stress::{stress_job_line, stress_spec, write_stress_jobs, StressShape, StressSummary};
 
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 use qre_arith::MulAlgorithm;
 use qre_circuit::{qir, LogicalCounts};
@@ -255,14 +257,9 @@ pub fn run_submission(engine: &Estimator, submission: &Submission) -> Result<Val
         SubmissionKind::Batch(jobs) => {
             // One parallel pass over the whole array; every item shares the
             // engine's factory cache.
-            let items: Vec<Value> =
-                qre_par::parallel_map(jobs, |spec| match run_job(engine, spec) {
-                    Ok(v) => v,
-                    Err(e) => ObjectBuilder::new()
-                        .field("status", "error")
-                        .field("message", e)
-                        .build(),
-                });
+            let items: Vec<Value> = qre_par::parallel_map(jobs, |spec| {
+                run_job(engine, spec).unwrap_or_else(error_object)
+            });
             Ok(ObjectBuilder::new()
                 .field("status", "success")
                 .field("items", Value::Array(items))
@@ -418,14 +415,9 @@ fn write_submission_chunked(
         SubmissionKind::Batch(jobs) => {
             let mut doc = ItemsDocWriter::open(out, compact, &[("status", "success")], jobs.len())?;
             for block in jobs.chunks(chunk) {
-                let items: Vec<Value> =
-                    qre_par::parallel_map(block, |spec| match run_job(engine, spec) {
-                        Ok(v) => v,
-                        Err(e) => ObjectBuilder::new()
-                            .field("status", "error")
-                            .field("message", e)
-                            .build(),
-                    });
+                let items: Vec<Value> = qre_par::parallel_map(block, |spec| {
+                    run_job(engine, spec).unwrap_or_else(error_object)
+                });
                 for item in &items {
                     doc.item(item)?;
                 }
@@ -476,69 +468,231 @@ fn write_submission_chunked(
     }
 }
 
-/// Streamed NDJSON writer shared by the batch and sweep paths: one record
-/// line per finished item in completion order, a `{"progress": k, "total":
-/// n}` line after every `stride` completions, and a final progress line.
-struct NdjsonSink<'a> {
-    out: &'a mut dyn Write,
-    total: usize,
-    done: usize,
-    stride: usize,
-    io_error: Option<std::io::Error>,
+/// The one writer of every per-item NDJSON record the CLI emits: serve
+/// sessions over a pipe or a socket, one-shot `"stream": true` output, and
+/// the busy-rejection `bye`.
+///
+/// A record is rendered on the thread that produced it, into one buffer
+/// with its newline, and handed to the output in one `write_all` followed
+/// by one `flush`, so each finished item reaches the consumer at once and
+/// as one piece. Threads share the writer by reference: the output sits
+/// behind one lock, and a consumer that stops reading blocks the producer
+/// holding it, which is the whole of the backpressure. The first write
+/// error is kept; later records are dropped, and [`RecordWriter::failed`]
+/// tells producers to stop estimating.
+pub(crate) struct RecordWriter<W> {
+    output: Mutex<RecordOutput<W>>,
+    failed: AtomicBool,
 }
 
-impl<'a> NdjsonSink<'a> {
-    fn new(out: &'a mut dyn Write, total: usize) -> Self {
-        NdjsonSink {
+struct RecordOutput<W> {
+    out: W,
+    records: usize,
+    error: Option<std::io::Error>,
+}
+
+impl<W: Write> RecordWriter<W> {
+    pub(crate) fn new(out: W) -> Self {
+        RecordWriter {
+            output: Mutex::new(RecordOutput {
+                out,
+                records: 0,
+                error: None,
+            }),
+            failed: AtomicBool::new(false),
+        }
+    }
+
+    /// Write `record` as one line; `false` once any write has failed.
+    pub(crate) fn write(&self, record: &Value) -> bool {
+        if self.failed() {
+            return false;
+        }
+        let mut line = record.to_string_compact();
+        line.push('\n');
+        let mut output = self.output.lock().expect("record writer lock");
+        let RecordOutput {
             out,
-            total,
-            done: 0,
-            // ~10 progress records per run, at least one per item batch.
-            stride: (total / 10).max(1),
-            io_error: None,
+            records,
+            error,
+        } = &mut *output;
+        if error.is_some() {
+            return false;
+        }
+        match out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
+            Ok(()) => {
+                *records += 1;
+                true
+            }
+            Err(e) => {
+                *error = Some(e);
+                self.failed.store(true, Ordering::Relaxed);
+                false
+            }
         }
     }
 
-    fn write_line(&mut self, value: &Value) {
-        if self.io_error.is_some() {
-            return;
-        }
-        let line = value.to_string_compact();
-        // Flush per record: streaming output is only useful if each finished
-        // item reaches the consumer (a pipe, a log follower) immediately.
-        if let Err(e) = writeln!(self.out, "{line}").and_then(|()| self.out.flush()) {
-            self.io_error = Some(e);
-        }
+    /// `true` once a write has failed (the consumer hung up or closed the
+    /// pipe): nothing further can be delivered.
+    pub(crate) fn failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
     }
 
-    fn record(&mut self, value: &Value) {
-        self.write_line(value);
-        self.done += 1;
-        if self.done.is_multiple_of(self.stride) && self.done != self.total {
-            self.progress();
+    /// Records written so far.
+    pub(crate) fn records(&self) -> usize {
+        self.output.lock().expect("record writer lock").records
+    }
+
+    /// The number of records written, or the first write error.
+    pub(crate) fn finish(self) -> std::io::Result<usize> {
+        let output = self.output.into_inner().expect("record writer lock");
+        match output.error {
+            Some(e) => Err(e),
+            None => Ok(output.records),
         }
     }
+}
 
-    /// `true` once a write has failed (e.g. the consumer closed the pipe);
-    /// producers should stop estimating — nothing further can be delivered.
-    fn failed(&self) -> bool {
-        self.io_error.is_some()
+/// Where [`execute`] hands a submission's records: a serve job wraps each
+/// in its job envelope and tallies its `"stats"` record, the one-shot
+/// stream interleaves progress records.
+pub(crate) trait ItemSink {
+    /// `total` item records follow; called once, before the first.
+    fn total(&mut self, _total: usize) {}
+
+    /// Deliver one item record; `failed` marks an item that failed in
+    /// place. `false` once the consumer is gone: execution stops claiming
+    /// items.
+    fn item(&mut self, record: Value, failed: bool) -> bool;
+
+    /// A single job failed. The one-shot CLI fails the submission (`Err`);
+    /// a serve session reports the failure in place and keeps serving.
+    fn single_failed(&mut self, message: String) -> Result<(), String>;
+}
+
+/// The `{"status": "error", "message": ..}` object of an item that failed
+/// in place.
+pub(crate) fn error_object(message: String) -> Value {
+    ObjectBuilder::new()
+        .field("status", "error")
+        .field("message", message)
+        .build()
+}
+
+/// Concatenate two JSON objects' fields (`head`'s first); a non-object
+/// `tail` passes through unchanged.
+pub(crate) fn merge_objects(head: Value, tail: Value) -> Value {
+    match (head, tail) {
+        (Value::Object(mut pairs), Value::Object(tail)) => {
+            pairs.extend(tail);
+            Value::Object(pairs)
+        }
+        (_, v) => v,
     }
+}
 
-    fn progress(&mut self) {
+/// Execute a submission's payload, handing each record to `sink` in
+/// completion order: batch records are [`run_submission`]'s entries plus
+/// an `index` field, sweep records carry theirs natively, and failing
+/// batch/sweep items report their error in place. With `stream`, a
+/// frontier job delivers one record per Pareto point (the monolithic
+/// document's `frontier` entries plus an `index`) instead of one document.
+/// `Err` fails the whole submission: a sweep that does not expand, or a
+/// failed single job the sink passes on. When the sink reports a dead
+/// consumer, execution stops after the in-flight items.
+pub(crate) fn execute(
+    engine: &Estimator,
+    kind: &SubmissionKind,
+    stream: bool,
+    sink: &mut impl ItemSink,
+) -> Result<(), String> {
+    match kind {
+        SubmissionKind::Single(spec) if stream && spec.frontier => {
+            let points = match run_frontier_points(engine, spec) {
+                Ok(points) => points,
+                Err(e) => return sink.single_failed(e),
+            };
+            sink.total(points.len());
+            for (i, p) in points.iter().enumerate() {
+                if !sink.item(frontier_point_json(i, p), false) {
+                    break;
+                }
+            }
+        }
+        SubmissionKind::Single(spec) => match run_job(engine, spec) {
+            Ok(value) => {
+                sink.total(1);
+                sink.item(value, false);
+            }
+            Err(e) => return sink.single_failed(e),
+        },
+        SubmissionKind::Batch(jobs) => {
+            sink.total(jobs.len());
+            qre_par::parallel_map_streamed_until(
+                jobs,
+                |_, spec| run_job(engine, spec),
+                |index, outcome| {
+                    let failed = outcome.is_err();
+                    let index = ObjectBuilder::new().field("index", index as u64).build();
+                    let record = merge_objects(index, outcome.unwrap_or_else(error_object));
+                    if sink.item(record, failed) {
+                        std::ops::ControlFlow::Continue(())
+                    } else {
+                        std::ops::ControlFlow::Break(())
+                    }
+                },
+            );
+        }
+        SubmissionKind::Sweep(spec) => {
+            let outcomes = engine.sweep_stream(spec).map_err(|e| e.to_string())?;
+            sink.total(outcomes.total());
+            for o in outcomes {
+                if !sink.item(sweep_item_json(&o), o.outcome.is_err()) {
+                    // Dropping the stream cancels the remaining items.
+                    break;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The one-shot `"stream": true` sink: every record as it finishes, a
+/// `{"progress": k, "total": n}` record after every tenth of the total,
+/// and (from [`run_submission_streamed`]) a final one.
+struct NdjsonSink<'a> {
+    writer: RecordWriter<&'a mut dyn Write>,
+    total: usize,
+    done: usize,
+}
+
+impl NdjsonSink<'_> {
+    fn progress(&self) {
         let progress = ObjectBuilder::new()
             .field("progress", self.done as u64)
             .field("total", self.total as u64)
             .build();
-        self.write_line(&progress);
+        self.writer.write(&progress);
+    }
+}
+
+impl ItemSink for NdjsonSink<'_> {
+    fn total(&mut self, total: usize) {
+        self.total = total;
     }
 
-    fn finish(mut self) -> Result<(), String> {
-        self.progress();
-        match self.io_error {
-            None => Ok(()),
-            Some(e) => Err(format!("failed to write streamed output: {e}")),
+    fn item(&mut self, record: Value, _failed: bool) -> bool {
+        self.writer.write(&record);
+        self.done += 1;
+        // ~10 progress records per run, at least one per item batch.
+        if self.done.is_multiple_of((self.total / 10).max(1)) && self.done != self.total {
+            self.progress();
         }
+        !self.writer.failed()
+    }
+
+    fn single_failed(&mut self, message: String) -> Result<(), String> {
+        Err(message)
     }
 }
 
@@ -558,72 +712,16 @@ pub fn run_submission_streamed(
     submission: &Submission,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    match &submission.kind {
-        SubmissionKind::Single(spec) if spec.frontier => {
-            // A streamed frontier delivers one NDJSON record per Pareto
-            // point, in frontier order (descending qubits), each carrying
-            // its `index`, cap, partition, and full result.
-            let points = run_frontier_points(engine, spec)?;
-            let mut sink = NdjsonSink::new(out, points.len());
-            for (i, p) in points.iter().enumerate() {
-                sink.record(&frontier_point_json(i, p));
-                if sink.failed() {
-                    break;
-                }
-            }
-            sink.finish()
-        }
-        SubmissionKind::Single(spec) => {
-            let record = run_job(engine, spec)?;
-            let mut sink = NdjsonSink::new(out, 1);
-            sink.record(&record);
-            sink.finish()
-        }
-        SubmissionKind::Batch(jobs) => {
-            let mut sink = NdjsonSink::new(out, jobs.len());
-            qre_par::parallel_map_streamed_until(
-                jobs,
-                |_, spec| match run_job(engine, spec) {
-                    Ok(v) => v,
-                    Err(e) => ObjectBuilder::new()
-                        .field("status", "error")
-                        .field("message", e)
-                        .build(),
-                },
-                |index, value| {
-                    // Batch records gain the index sweeps carry natively.
-                    let record = ObjectBuilder::new().field("index", index as u64).build();
-                    let merged = match (record, value) {
-                        (Value::Object(mut head), Value::Object(tail)) => {
-                            head.extend(tail);
-                            Value::Object(head)
-                        }
-                        (_, v) => v,
-                    };
-                    sink.record(&merged);
-                    // A dead consumer (closed pipe) must not cost the rest
-                    // of the batch's compute.
-                    if sink.failed() {
-                        std::ops::ControlFlow::Break(())
-                    } else {
-                        std::ops::ControlFlow::Continue(())
-                    }
-                },
-            );
-            sink.finish()
-        }
-        SubmissionKind::Sweep(spec) => {
-            let mut sink = NdjsonSink::new(out, spec.len());
-            let stream = engine.sweep_stream(spec).map_err(|e| e.to_string())?;
-            for o in stream {
-                sink.record(&sweep_item_json(&o));
-                if sink.failed() {
-                    // Dropping the stream cancels the remaining items.
-                    break;
-                }
-            }
-            sink.finish()
-        }
+    let mut sink = NdjsonSink {
+        writer: RecordWriter::new(out),
+        total: 0,
+        done: 0,
+    };
+    execute(engine, &submission.kind, true, &mut sink)?;
+    sink.progress();
+    match sink.writer.finish() {
+        Ok(_) => Ok(()),
+        Err(e) => Err(format!("failed to write streamed output: {e}")),
     }
 }
 
@@ -1664,6 +1762,45 @@ mod tests {
             .find(|r| r.get("index").unwrap().as_u64() == Some(1))
             .unwrap();
         assert_eq!(failing.get("status").unwrap().as_str(), Some("error"));
+    }
+
+    #[test]
+    fn streamed_records_leave_in_one_write_and_one_flush() {
+        /// Accepts every byte, counting the calls that delivered them.
+        #[derive(Default)]
+        struct CountingWriter {
+            bytes: Vec<u8>,
+            writes: usize,
+            flushes: usize,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                self.flushes += 1;
+                Ok(())
+            }
+        }
+
+        let batch = r#"{ "stream": true, "items": [
+            { "algorithm": { "logicalCounts": { "numQubits": 10, "tCount": 100 } } },
+            { "algorithm": { "logicalCounts": { "numQubits": 10, "tCount": 100 } },
+              "errorBudget": 1e-60 },
+            { "algorithm": { "logicalCounts": { "numQubits": 20, "tCount": 300 } } }
+        ] }"#;
+        let submission = parse_submission(batch).unwrap();
+        let mut out = CountingWriter::default();
+        run_submission_streamed(&Estimator::new(), &submission, &mut out).unwrap();
+        let lines = parse_ndjson_lines(&out.bytes);
+        // Three item records, a progress record after each, the last of them
+        // the final one.
+        assert_eq!(lines.len(), 6);
+        assert!(out.bytes.ends_with(b"\n"));
+        assert_eq!(out.writes, lines.len(), "one write per record");
+        assert_eq!(out.flushes, lines.len(), "one flush per record");
     }
 
     #[test]

@@ -196,8 +196,8 @@ fn serve_main(args: &[String]) -> ExitCode {
         options.max_in_flight = n;
     }
     let stdin = std::io::stdin();
-    // `Stdout` (not its `!Send` lock): the serve writer thread owns the
-    // handle and locks per line.
+    // `Stdout` (not its `!Send` lock): the session's job threads share the
+    // handle and lock it per record.
     let mut out = std::io::stdout();
     match qre_cli::serve(stdin.lock(), &mut out, &options) {
         Ok(summary) => {

@@ -14,14 +14,14 @@
 //! `{"bye": {"session": id, "busy": true}}` record before their socket
 //! closes: in protocol terms, a session that ended before it began.
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use qre_json::ObjectBuilder;
 use qre_net::{Connection, ConnectionHandler, Server, ServerOptions};
 
-use crate::{run_session, ServeShared, SessionConfig};
+use crate::{run_session, RecordWriter, ServeShared, SessionConfig};
 
 /// What a `qre serve --listen` run did: the accept-side tally plus the
 /// session summaries folded across every connection.
@@ -93,7 +93,7 @@ impl ConnectionHandler for SessionHandler<'_> {
         }
     }
 
-    fn reject(&self, mut conn: Connection) {
+    fn reject(&self, conn: Connection) {
         let bye = ObjectBuilder::new()
             .field(
                 "bye",
@@ -104,7 +104,7 @@ impl ConnectionHandler for SessionHandler<'_> {
             )
             .build();
         // The peer may already be gone; rejection is best-effort by nature.
-        if writeln!(conn.stream, "{}", bye.to_string_compact()).is_ok() {
+        if RecordWriter::new(&conn.stream).write(&bye) {
             self.records.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -68,13 +68,12 @@
 //! in the pipe or socket buffer, the natural backpressure — while that many
 //! jobs are in flight), and [`ServeOptions::global_jobs`] caps jobs across
 //! *every* session of the process, so forty connections cannot fan out
-//! forty heavy sweeps at once. Output is bounded too:
-//! [`ServeOptions::writer_buffer`] caps the records queued ahead of the
-//! session's writer, and the execution layers underneath
-//! ([`qre_par::streamed_buffer_bound`]) cap their own run-ahead, so a slow
-//! or stalled client throttles its jobs instead of ballooning resident
-//! memory with undelivered results — and loses nothing once it resumes
-//! reading.
+//! forty heavy sweeps at once. Output is bounded too: a job writes each of
+//! its records itself, straight to the session's output, so a slow or
+//! stalled client blocks the job that is writing, and the execution layers
+//! underneath ([`qre_par::streamed_buffer_bound`]) cap their own run-ahead.
+//! The client throttles its jobs instead of ballooning resident memory with
+//! undelivered results, and loses nothing once it resumes reading.
 //!
 //! ## Cache scoping, bounding, and persistence
 //!
@@ -111,12 +110,12 @@
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use qre_core::{Estimator, FactoryCache, Shard};
 use qre_json::{ObjectBuilder, Value};
 
-use crate::{sweep_item_json, Submission, SubmissionKind};
+use crate::{error_object, merge_objects, ItemSink, RecordWriter, SubmissionKind};
 
 /// Knobs of a serve service (pipe or network).
 #[derive(Debug, Clone)]
@@ -132,12 +131,6 @@ pub struct ServeOptions {
     /// default, and the pipe mode's setting) uses [`Self::max_in_flight`] —
     /// with one session the two gates coincide.
     pub global_jobs: Option<usize>,
-    /// Bound on the records queued between a session's jobs and its writer
-    /// (`--writer-buf N`): a slow client blocks its jobs' record emission
-    /// (and, through the bounded execution layers underneath, the
-    /// estimation run-ahead) instead of buffering unbounded output in
-    /// memory. At least 1.
-    pub writer_buffer: usize,
     /// Bound on the process-wide design store (`--cache-cap N`): at most
     /// this many designs are kept, evicting least-recently-used entries.
     /// `None` (the default) stores every design the session searches.
@@ -168,10 +161,6 @@ impl Default for ServeOptions {
             // the worker-thread count by the queue length.
             max_in_flight: 2,
             global_jobs: None,
-            // Roomy enough that a merely bursty consumer never throttles a
-            // job, small enough that a stalled one caps queued output at a
-            // few dozen records.
-            writer_buffer: 64,
             cache_capacity: None,
             cache_file: None,
             // Bound crash loss to a handful of jobs once a cache file is
@@ -339,42 +328,23 @@ pub struct SessionConfig {
     pub lifecycle: bool,
 }
 
-/// Counted hand-off of records to the session's writer thread: the sender
-/// side is bounded ([`ServeOptions::writer_buffer`]), so emitting blocks
-/// while the writer is behind — the per-session output backpressure.
-struct RecordSink {
-    sender: mpsc::SyncSender<Value>,
-    emitted: Arc<AtomicUsize>,
-}
-
-impl RecordSink {
-    /// Queue a record for the writer. `false` once the receiver is gone
-    /// (the writer died): the session is over, and producers stop instead
-    /// of estimating items nobody will read.
-    fn emit(&self, record: Value) -> bool {
-        if self.sender.send(record).is_ok() {
-            self.emitted.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// Run one serve session over the shared service state: read one JSON job
 /// per line from `input` until EOF or drain, write completion-order NDJSON
-/// records to `output` (line-buffered, flushed per record), and return the
-/// session's summary.
+/// records to `output` (one write and one flush per record), and return
+/// the session's summary.
 ///
 /// This is the **one session engine** behind both transports: [`serve`]
 /// runs it over stdin/stdout, the network layer runs it per accepted
 /// connection over the socket's read/write halves. All sessions share
 /// `shared`'s design store (each job counts its own cache hits and misses
 /// exactly through a scoped view), its global job gate, and its drain
-/// switch; admission, output bounding, and persistence follow
-/// [`ServeOptions`]. Returns `Err` only for transport failures — an
-/// unreadable input or an output that stops accepting writes; malformed job
-/// lines produce error records and the session continues.
+/// switch; admission and persistence follow [`ServeOptions`]. The session
+/// spawns only its job threads: each job renders and writes its own
+/// records, and the reader writes the lifecycle and control records, all
+/// through one lock around `output`. Returns `Err` only for transport
+/// failures — an unreadable input or an output that stops accepting
+/// writes; malformed job lines produce error records and the session
+/// continues.
 pub fn run_session<R, W>(
     shared: &ServeShared,
     config: &SessionConfig,
@@ -385,149 +355,104 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    let options = shared.options();
-    let admission = qre_par::Semaphore::new(options.max_in_flight);
-    let (sender, receiver) = mpsc::sync_channel::<Value>(options.writer_buffer.max(1));
-    let emitted = Arc::new(AtomicUsize::new(0));
+    let admission = qre_par::Semaphore::new(shared.options().max_in_flight);
+    // Once a write fails (a downstream `head` closed the pipe, or the client
+    // hung up) the session has no one left to deliver to: the reader stops
+    // consuming lines and running jobs bail out instead of estimating into
+    // the void.
+    let writer = RecordWriter::new(output);
     let job_errors = AtomicUsize::new(0);
-    // Set by the writer thread when the output dies (e.g. a downstream
-    // `head` closed the pipe, or the client hung up): the session has no one
-    // left to deliver to, so the reader stops consuming lines and running
-    // jobs bail out instead of estimating into the void.
-    let output_dead = AtomicBool::new(false);
-
     let mut jobs = 0usize;
     let mut fatal: Option<String> = None;
-    let written = std::thread::scope(|scope| {
-        let writer = scope.spawn({
-            let output_dead = &output_dead;
-            move || -> Result<usize, String> {
-                let mut written = 0usize;
-                for record in receiver {
-                    if let Err(e) = writeln!(output, "{}", record.to_string_compact())
-                        .and_then(|()| output.flush())
-                    {
-                        output_dead.store(true, Ordering::Relaxed);
-                        return Err(format!("failed to write serve output: {e}"));
-                    }
-                    written += 1;
-                }
-                Ok(written)
+    if config.lifecycle {
+        writer.write(&hello_record(config, shared));
+    }
+
+    // Every job thread joins here, so the bye record below is provably the
+    // session's last record.
+    std::thread::scope(|scope| {
+        let mut lines = input.lines();
+        loop {
+            // Checked *before* reading, never after: a line this session
+            // has consumed is always processed — a drain stops the session
+            // from taking new lines, it never discards one.
+            if writer.failed() || shared.shutdown.is_signalled() {
+                break;
             }
-        });
-
-        let sink = RecordSink {
-            sender: sender.clone(),
-            emitted: Arc::clone(&emitted),
-        };
-        if config.lifecycle {
-            sink.emit(hello_record(config, shared));
-        }
-
-        // Inner scope: every job thread joins here, so the bye record below
-        // is provably the session's last record.
-        std::thread::scope(|jobs_scope| {
-            let mut lines = input.lines();
-            loop {
-                // Checked *before* reading, never after: a line this session
-                // has consumed is always processed — a drain stops the
-                // session from taking new lines, it never discards one.
-                if output_dead.load(Ordering::Relaxed) || shared.shutdown.is_signalled() {
+            let line = match lines.next() {
+                None => break,
+                Some(Ok(line)) => line,
+                Some(Err(e)) => {
+                    fatal = Some(format!("failed to read serve input: {e}"));
                     break;
                 }
-                let line = match lines.next() {
-                    None => break,
-                    Some(Ok(line)) => line,
-                    Some(Err(e)) => {
-                        fatal = Some(format!("failed to read serve input: {e}"));
-                        break;
-                    }
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                jobs += 1;
-                let ordinal = jobs;
-                // Control commands are handled inline on the reader — a
-                // drain must take effect before later queued lines, not race
-                // them. The substring test is only a fast-path filter; the
-                // parsed document decides.
-                if line.contains("\"control\"") {
-                    if let Ok(doc) = qre_json::parse(&line) {
-                        if doc.get("control").is_some() {
-                            if !run_control(&doc, ordinal, shared, &sink) {
-                                job_errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                            continue;
-                        }
-                    } else {
-                        // Fall through: the job path re-parses and reports
-                        // the malformed line as a job error record.
-                    }
-                }
-                // Per-session admission: block here (not reading further
-                // lines — they wait in the pipe or socket buffer) while
-                // `max_in_flight` of this session's jobs are running.
-                let permit = admission.acquire();
-                let job_sink = RecordSink {
-                    sender: sender.clone(),
-                    emitted: Arc::clone(&emitted),
-                };
-                let job_errors = &job_errors;
-                let output_dead = &output_dead;
-                jobs_scope.spawn(move || {
-                    let _permit = permit;
-                    if output_dead.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    // Process-wide gate: this session admitted the job, but
-                    // it still waits its turn against every other session's
-                    // in-flight jobs.
-                    let _global = shared.gate.acquire();
-                    if output_dead.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if !run_serve_job(
-                        &line,
-                        ordinal,
-                        shared.store(),
-                        shared.options().search_stats,
-                        &job_sink,
-                    ) {
-                        job_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    shared.job_completed();
-                });
+            };
+            if line.trim().is_empty() {
+                continue;
             }
-        });
-
-        if config.lifecycle && !output_dead.load(Ordering::Relaxed) {
-            sink.emit(bye_record(
-                config,
-                shared,
-                jobs,
-                job_errors.load(Ordering::Relaxed),
-                emitted.load(Ordering::Relaxed),
-            ));
-        }
-
-        // Hang up our senders; the writer drains the queue, then reports how
-        // much it wrote.
-        drop(sink);
-        drop(sender);
-        match writer.join() {
-            Ok(result) => result,
-            Err(payload) => std::panic::resume_unwind(payload),
+            jobs += 1;
+            let ordinal = jobs;
+            // Control commands are handled inline on the reader — a drain
+            // must take effect before later queued lines, not race them. The
+            // substring test is only a fast-path filter; the parsed document
+            // decides, and a malformed line falls through to the job path,
+            // which reports it as a job error record.
+            if line.contains("\"control\"") {
+                if let Ok(doc) = qre_json::parse(&line) {
+                    if doc.get("control").is_some() {
+                        if !run_control(&doc, ordinal, shared, &writer) {
+                            job_errors.fetch_add(1, Ordering::Relaxed);
+                        }
+                        continue;
+                    }
+                }
+            }
+            // Per-session admission: block here (not reading further lines —
+            // they wait in the pipe or socket buffer) while `max_in_flight`
+            // of this session's jobs are running.
+            let permit = admission.acquire();
+            let writer = &writer;
+            let job_errors = &job_errors;
+            scope.spawn(move || {
+                let _permit = permit;
+                if writer.failed() {
+                    return;
+                }
+                // Process-wide gate: this session admitted the job, but it
+                // still waits its turn against every other session's
+                // in-flight jobs.
+                let _global = shared.gate.acquire();
+                if writer.failed() {
+                    return;
+                }
+                if !run_serve_job(&line, ordinal, shared, writer) {
+                    job_errors.fetch_add(1, Ordering::Relaxed);
+                }
+                shared.job_completed();
+            });
         }
     });
 
+    let job_errors = job_errors.into_inner();
+    if config.lifecycle && !writer.failed() {
+        writer.write(&bye_record(
+            config,
+            shared,
+            jobs,
+            job_errors,
+            writer.records(),
+        ));
+    }
     if let Some(message) = fatal {
         return Err(message);
     }
+    let records = writer
+        .finish()
+        .map_err(|e| format!("failed to write serve output: {e}"))?;
     Ok(ServeSummary {
         jobs,
-        job_errors: job_errors.load(Ordering::Relaxed),
-        records: written?,
+        job_errors,
+        records,
         designs_loaded: 0,
         designs_saved: 0,
         drained: shared.shutdown.is_signalled(),
@@ -567,31 +492,13 @@ fn save_store(store: &FactoryCache, path: &Path) -> usize {
     }
 }
 
-/// Concatenate two JSON objects' fields (`head`'s first); a non-object
-/// `tail` passes through unchanged.
-fn merge_objects(head: Value, tail: Value) -> Value {
-    match (head, tail) {
-        (Value::Object(mut pairs), Value::Object(tail)) => {
-            pairs.extend(tail);
-            Value::Object(pairs)
-        }
-        (_, v) => v,
-    }
-}
-
 /// Emit `{"job": id, ...tail}` — every serve record leads with its job id.
 fn job_record(id: &Value, tail: Value) -> Value {
     merge_objects(ObjectBuilder::new().field("job", id.clone()).build(), tail)
 }
 
 fn error_record(id: &Value, message: String) -> Value {
-    job_record(
-        id,
-        ObjectBuilder::new()
-            .field("status", "error")
-            .field("message", message)
-            .build(),
-    )
+    job_record(id, error_object(message))
 }
 
 /// The session-opening lifecycle record: identity plus the store size, so a
@@ -620,7 +527,7 @@ fn bye_record(
         .field("session", config.session)
         .field("jobs", jobs as u64)
         .field("jobErrors", job_errors as u64)
-        // Job records queued before this bye (the hello included).
+        // Records written before this bye (the hello included).
         .field("records", records as u64)
         .field("drained", shared.shutdown.is_signalled());
     ObjectBuilder::new().field("bye", bye.build()).build()
@@ -629,13 +536,18 @@ fn bye_record(
 /// Handle a `{"control": ...}` line inline on the session reader. Returns
 /// `false` when the command was invalid (a job-level error record was
 /// emitted).
-fn run_control(doc: &Value, ordinal: usize, shared: &ServeShared, sink: &RecordSink) -> bool {
+fn run_control<W: Write>(
+    doc: &Value,
+    ordinal: usize,
+    shared: &ServeShared,
+    writer: &RecordWriter<W>,
+) -> bool {
     let mut id = Value::from(ordinal as u64);
     if let Some(v) = doc.get("id") {
         match v {
             Value::Str(_) | Value::Num(_) => id = v.clone(),
             _ => {
-                sink.emit(error_record(
+                writer.write(&error_record(
                     &id,
                     "invalid job: serve `id` must be a string or a number".into(),
                 ));
@@ -644,14 +556,14 @@ fn run_control(doc: &Value, ordinal: usize, shared: &ServeShared, sink: &RecordS
         }
     }
     if let Err(e) = crate::check_fields(doc, "", &["id", "control"]) {
-        sink.emit(error_record(&id, format!("invalid job: {e}")));
+        writer.write(&error_record(&id, format!("invalid job: {e}")));
         return false;
     }
     match doc.get("control").and_then(Value::as_str) {
         Some("shutdown") => {
             // Acknowledge first, then raise the drain switch: the ack is
             // this session's receipt that no later job will be read.
-            sink.emit(job_record(
+            writer.write(&job_record(
                 &id,
                 ObjectBuilder::new()
                     .field("control", "shutdown")
@@ -666,7 +578,7 @@ fn run_control(doc: &Value, ordinal: usize, shared: &ServeShared, sink: &RecordS
                 Some(name) => format!("`{name}`"),
                 None => "a non-string value".into(),
             };
-            sink.emit(error_record(
+            writer.write(&error_record(
                 &id,
                 format!("invalid job: unknown control command {got}; accepted: shutdown"),
             ));
@@ -733,195 +645,102 @@ fn parse_shard(v: &Value) -> Result<Shard, String> {
     Shard::new(field("index")?, field("count")?).map_err(|e| e.to_string())
 }
 
-/// Parse and execute one job line, pushing records to `sink`. Returns
-/// `false` when the job produced a job-level error record.
-fn run_serve_job(
+/// Parse and execute one job line, writing its records through `writer`.
+/// Returns `false` when the job produced a job-level error record.
+fn run_serve_job<W: Write>(
     line: &str,
     ordinal: usize,
-    store: &Arc<FactoryCache>,
-    search_stats: bool,
-    sink: &RecordSink,
+    shared: &ServeShared,
+    writer: &RecordWriter<W>,
 ) -> bool {
-    let mut emit = |record: Value| sink.emit(record);
-    let doc = match qre_json::parse(line) {
-        Ok(doc) => doc,
-        Err(e) => {
-            emit(error_record(
-                &Value::from(ordinal as u64),
-                format!("invalid job: {e}"),
-            ));
-            return false;
-        }
-    };
-    let envelope = match parse_envelope(doc, ordinal) {
-        Ok(envelope) => envelope,
+    let parsed = qre_json::parse(line)
+        .map_err(|e| (Value::from(ordinal as u64), e.to_string()))
+        .and_then(|doc| parse_envelope(doc, ordinal))
+        .and_then(
+            |envelope| match crate::parse_submission_value(&envelope.submission) {
+                Ok(submission) => Ok((envelope.id, envelope.shard, submission)),
+                Err(e) => Err((envelope.id, e)),
+            },
+        );
+    let (id, shard, submission) = match parsed {
+        Ok(parsed) => parsed,
         Err((id, message)) => {
-            emit(error_record(&id, format!("invalid job: {message}")));
-            return false;
-        }
-    };
-    let id = envelope.id;
-    let submission = match crate::parse_submission_value(&envelope.submission) {
-        Ok(submission) => submission,
-        Err(e) => {
-            emit(error_record(&id, format!("invalid job: {e}")));
+            writer.write(&error_record(&id, format!("invalid job: {message}")));
             return false;
         }
     };
 
     // One engine per job over the shared design store: hits and misses are
     // counted exactly for this job, however many jobs run concurrently.
-    let engine = Estimator::with_cache(Arc::new(store.scoped()));
-    match execute(&engine, submission, envelope.shard, &id, &mut emit) {
-        Ok(counts) => {
-            emit(stats_record(
-                &id,
-                &engine,
-                envelope.shard,
-                counts,
-                search_stats,
-            ));
+    let engine = Estimator::with_cache(Arc::new(shared.store().scoped()));
+    let mut sink = JobSink {
+        id: &id,
+        writer,
+        items: 0,
+        errors: 0,
+    };
+    let executed = shard_kind(submission.kind, shard)
+        .and_then(|kind| crate::execute(&engine, &kind, submission.stream, &mut sink));
+    match executed {
+        Ok(()) => {
+            let search_stats = shared.options().search_stats;
+            writer.write(&stats_record(&sink, &engine, shard, search_stats));
             true
         }
         Err(message) => {
-            emit(error_record(&id, message));
+            writer.write(&error_record(&id, message));
             false
         }
     }
 }
 
-/// Per-job item/error tally feeding the `"stats"` record.
-#[derive(Debug, Clone, Copy)]
-struct ItemCounts {
+/// Restrict a `"sweep"` submission to the job's `"shard"`.
+fn shard_kind(kind: SubmissionKind, shard: Option<Shard>) -> Result<SubmissionKind, String> {
+    match (kind, shard) {
+        (kind, None) => Ok(kind),
+        (SubmissionKind::Sweep(spec), Some(s)) => (*spec)
+            .shard_of(s.index, s.count)
+            .map(|spec| SubmissionKind::Sweep(Box::new(spec)))
+            .map_err(|e| e.to_string()),
+        (_, Some(_)) => Err("`shard` applies only to `sweep` jobs".into()),
+    }
+}
+
+/// A serve job's [`ItemSink`]: each record in the job envelope, straight
+/// to the session's output, tallied for the job's `"stats"` record.
+struct JobSink<'a, W> {
+    id: &'a Value,
+    writer: &'a RecordWriter<W>,
     items: usize,
     errors: usize,
 }
 
-/// Execute a submission's payload, emitting completion-order item records.
-/// When `emit` reports a dead session, batch and sweep execution stop after
-/// the in-flight items instead of finishing undeliverable work.
-fn execute(
-    engine: &Estimator,
-    submission: Submission,
-    shard: Option<Shard>,
-    id: &Value,
-    emit: &mut impl FnMut(Value) -> bool,
-) -> Result<ItemCounts, String> {
-    if shard.is_some() && !matches!(submission.kind, SubmissionKind::Sweep(_)) {
-        return Err("`shard` applies only to `sweep` jobs".into());
+impl<W: Write> ItemSink for JobSink<'_, W> {
+    fn item(&mut self, record: Value, failed: bool) -> bool {
+        self.items += 1;
+        self.errors += usize::from(failed);
+        self.writer.write(&job_record(self.id, record))
     }
-    let stream = submission.stream;
-    match submission.kind {
-        // A frontier job with `"stream": true` delivers one record per
-        // Pareto point (the pipe mode's streamed records, each wrapped in
-        // the job envelope) instead of one monolithic frontier document.
-        SubmissionKind::Single(spec) if stream && spec.frontier => {
-            match crate::run_frontier_points(engine, &spec) {
-                Ok(points) => {
-                    for (i, p) in points.iter().enumerate() {
-                        if !emit(job_record(id, crate::frontier_point_json(i, p))) {
-                            break;
-                        }
-                    }
-                    Ok(ItemCounts {
-                        items: points.len(),
-                        errors: 0,
-                    })
-                }
-                Err(e) => {
-                    emit(error_record(id, e));
-                    Ok(ItemCounts {
-                        items: 1,
-                        errors: 1,
-                    })
-                }
-            }
-        }
-        SubmissionKind::Single(spec) => match crate::run_job(engine, &spec) {
-            Ok(value) => {
-                emit(job_record(id, value));
-                Ok(ItemCounts {
-                    items: 1,
-                    errors: 0,
-                })
-            }
-            // Unlike the one-shot CLI, a failing single job must not end the
-            // session: report it in place and keep serving.
-            Err(e) => {
-                emit(error_record(id, e));
-                Ok(ItemCounts {
-                    items: 1,
-                    errors: 1,
-                })
-            }
-        },
-        SubmissionKind::Batch(jobs) => {
-            let errors = std::sync::atomic::AtomicUsize::new(0);
-            qre_par::parallel_map_streamed_until(
-                &jobs,
-                |_, spec| match crate::run_job(engine, spec) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                        ObjectBuilder::new()
-                            .field("status", "error")
-                            .field("message", e)
-                            .build()
-                    }
-                },
-                |index, value| {
-                    let indexed = ObjectBuilder::new().field("index", index as u64).build();
-                    if emit(job_record(id, merge_objects(indexed, value))) {
-                        std::ops::ControlFlow::Continue(())
-                    } else {
-                        std::ops::ControlFlow::Break(())
-                    }
-                },
-            );
-            Ok(ItemCounts {
-                items: jobs.len(),
-                errors: errors.load(Ordering::Relaxed),
-            })
-        }
-        SubmissionKind::Sweep(spec) => {
-            let spec = match shard {
-                Some(s) => (*spec)
-                    .shard_of(s.index, s.count)
-                    .map_err(|e| e.to_string())?,
-                None => *spec,
-            };
-            let mut counts = ItemCounts {
-                items: 0,
-                errors: 0,
-            };
-            let stream = engine.sweep_stream(&spec).map_err(|e| e.to_string())?;
-            for outcome in stream {
-                counts.items += 1;
-                if outcome.outcome.is_err() {
-                    counts.errors += 1;
-                }
-                if !emit(job_record(id, sweep_item_json(&outcome))) {
-                    // Dropping the stream cancels the remaining items.
-                    break;
-                }
-            }
-            Ok(counts)
-        }
+
+    /// Unlike the one-shot CLI, a failing single job must not end the
+    /// session: report it in place and keep serving.
+    fn single_failed(&mut self, message: String) -> Result<(), String> {
+        self.item(error_object(message), true);
+        Ok(())
     }
 }
 
 /// The job's closing `"stats"` record.
-fn stats_record(
-    id: &Value,
+fn stats_record<W>(
+    job: &JobSink<'_, W>,
     engine: &Estimator,
     shard: Option<Shard>,
-    counts: ItemCounts,
     search_stats: bool,
 ) -> Value {
     let cache = engine.cache_stats();
     let mut stats = ObjectBuilder::new()
-        .field("items", counts.items as u64)
-        .field("errors", counts.errors as u64)
+        .field("items", job.items as u64)
+        .field("errors", job.errors as u64)
         .field("cacheHits", cache.hits)
         .field("cacheMisses", cache.misses)
         .field("cacheEntries", cache.entries as u64)
@@ -943,7 +762,7 @@ fn stats_record(
         );
     }
     job_record(
-        id,
+        job.id,
         ObjectBuilder::new().field("stats", stats.build()).build(),
     )
 }

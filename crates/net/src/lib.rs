@@ -58,8 +58,8 @@ pub struct Connection {
     pub id: u64,
     /// The peer address, when the OS could report it.
     pub peer: Option<SocketAddr>,
-    /// The connected socket (blocking mode). The handler owns it; dropping
-    /// it closes the connection.
+    /// The connected socket (blocking mode, `TCP_NODELAY` set). The handler
+    /// owns it; dropping it closes the connection.
     pub stream: TcpStream,
 }
 
@@ -126,8 +126,8 @@ pub struct Server {
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an OS-assigned port). The
     /// listener is non-blocking — [`Server::run`] polls it — but accepted
-    /// connections are switched back to blocking mode before the handler
-    /// sees them.
+    /// connections are switched back to blocking mode, with `TCP_NODELAY`
+    /// set, before the handler sees them.
     pub fn bind<A: ToSocketAddrs>(addr: A, options: ServerOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -177,8 +177,11 @@ impl Server {
                 };
                 // The listener's non-blocking flag can be inherited by the
                 // accepted socket on some platforms; handlers expect
-                // blocking I/O.
+                // blocking I/O. Nagle off: a handler's small trailing
+                // segment must leave when written, not wait for the peer's
+                // delayed ACK.
                 stream.set_nonblocking(false)?;
+                stream.set_nodelay(true)?;
                 next_id += 1;
                 let conn = Connection {
                     id: next_id,
@@ -328,6 +331,32 @@ mod tests {
             }
         );
         assert_eq!(served, 4);
+    }
+
+    #[test]
+    fn accepted_sockets_turn_nagle_off() {
+        /// Answers with what the accepted socket reports for `TCP_NODELAY`.
+        struct NoDelay;
+        impl ConnectionHandler for NoDelay {
+            fn serve(&self, conn: Connection) {
+                let _ = writeln!(&conn.stream, "{:?}", conn.stream.nodelay());
+            }
+        }
+
+        let server = Server::bind("127.0.0.1:0", ServerOptions::default()).expect("bind");
+        let addr = server.local_addr();
+        let shutdown = qre_par::ShutdownSignal::new();
+        std::thread::scope(|scope| {
+            let run = scope.spawn(|| server.run(&NoDelay, &shutdown));
+            let (mut reader, _writer) = connect(addr);
+            let answer = read_line(&mut reader);
+            // Drain before asserting, so a failure ends the test instead of
+            // leaving the server running inside the scope.
+            shutdown.signal();
+            let summary = run.join().expect("server thread").expect("server run");
+            assert_eq!(answer, "Ok(true)", "accepted socket keeps Nagle on");
+            assert_eq!(summary.connections, 1);
+        });
     }
 
     #[test]

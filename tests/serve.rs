@@ -418,6 +418,64 @@ fn dead_output_ends_the_session_instead_of_estimating_into_the_void() {
     assert!(err.contains("consumer hung up"), "{err}");
 }
 
+/// A consumer that accepts every byte and counts the `write` and `flush`
+/// calls that delivered them.
+#[derive(Default)]
+struct CountingWriter {
+    bytes: Vec<u8>,
+    writes: usize,
+    flushes: usize,
+}
+
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+}
+
+#[test]
+fn every_record_leaves_in_one_write_and_one_flush() {
+    let batch = r#"{ "id": "batch", "items": [
+        { "algorithm": { "logicalCounts": { "numQubits": 10, "tCount": 100 } } },
+        { "algorithm": { "logicalCounts": { "numQubits": 10, "tCount": 100 } },
+          "errorBudget": 1e-60 }
+    ] }"#
+        .replace('\n', " ");
+    let script = format!(
+        "{}\n{batch}\nnot json at all\n",
+        SWEEP_LINE.replace('\n', " ")
+    );
+    for lifecycle in [false, true] {
+        let shared = ServeShared::new(&ServeOptions::default());
+        let config = SessionConfig {
+            lifecycle,
+            ..SessionConfig::default()
+        };
+        let mut output = CountingWriter::default();
+        let summary = run_session(&shared, &config, script.as_bytes(), &mut output)
+            .expect("session succeeds");
+        let text = std::str::from_utf8(&output.bytes).unwrap();
+        assert!(text.ends_with('\n'));
+        for line in text.lines() {
+            qre_json::parse(line).expect("every record parses");
+        }
+        // Six sweep items + stats, two batch items + stats, one error
+        // record; hello and bye around them with lifecycle on.
+        let records = text.lines().count();
+        assert_eq!(records, 11 + if lifecycle { 2 } else { 0 });
+        assert_eq!(summary.records, records);
+        assert_eq!(output.writes, records, "one write per record");
+        assert_eq!(output.flushes, records, "one flush per record");
+    }
+}
+
 #[test]
 fn blank_lines_are_skipped_and_empty_sessions_summarize() {
     let (summary, lines) = run_serve("\n   \n\n", &ServeOptions::default());

@@ -3,18 +3,17 @@
 //! letting results pile up without limit — and must lose nothing once it
 //! resumes reading.
 //!
-//! Before the writer-side bound, serve queued every finished record on an
-//! unbounded channel: a stalled client and a long sweep meant the whole
-//! sweep's results resident in memory. Now every layer between the
-//! estimator and the consumer is a bounded queue (the writer channel, the
-//! engine's outcome stream, the parallel map's delivery channel), so a
-//! stall caps the number of items estimated-but-undelivered at a small
+//! A serve job writes each record itself, straight to the session's
+//! output, so a stalled client blocks the job in its write. Every queue
+//! between the estimator and the consumer is bounded (the engine's
+//! outcome stream and the parallel map's delivery channel), so a stall caps
+//! the number of items estimated-but-undelivered at a small
 //! scheduling-dependent constant.
 //!
 //! The observable: every sweep item with a distinct error budget searches a
 //! distinct factory design (the design key includes the budget-derived
 //! required fidelity), so the shared store's entry count *is* a progress
-//! counter for estimation. Stall the writer after one record, watch the
+//! counter for estimation. Stall the consumer after one record, watch the
 //! store: it must plateau far below the sweep size.
 //!
 //! This file holds the only backpressure test that sets `QRE_THREADS`, so
@@ -112,7 +111,6 @@ fn stalled_consumer_bounds_estimation_run_ahead_and_loses_nothing() {
 
     let options = ServeOptions {
         max_in_flight: 1,
-        writer_buffer: 4,
         ..ServeOptions::default()
     };
     let shared = Arc::new(ServeShared::new(&options));
@@ -141,15 +139,10 @@ fn stalled_consumer_bounds_estimation_run_ahead_and_loses_nothing() {
     // between the estimator and the consumer and of the single record each
     // blocked thread holds in hand. The duplicated streamed-bound term
     // covers the engine's outcome stream AND the parallel map's internal
-    // delivery channel; the `+3` is one record in each blocked hand-off
-    // (the stream pump's `send`, the job's `emit`, the writer's `flush`);
-    // the `THREADS` term is one searched-but-unsent item per blocked
-    // worker.
-    let bound = DELIVERED_BEFORE_STALL
-        + options.writer_buffer
-        + 2 * qre_par::streamed_buffer_bound(THREADS)
-        + THREADS
-        + 3;
+    // delivery channel; the `+2` is one record in each blocked hand-off
+    // (the stream pump's `send`, the job's blocked write); the `THREADS`
+    // term is one searched-but-unsent item per blocked worker.
+    let bound = DELIVERED_BEFORE_STALL + 2 * qre_par::streamed_buffer_bound(THREADS) + THREADS + 2;
 
     // Watch the store grow while the consumer is stalled: it must plateau
     // at or below the bound, nowhere near the sweep size. "Plateau" =
