@@ -9,30 +9,30 @@
 //! estimate path moves both sides of every ratio alike, so the gate cannot
 //! see it; only an A/B run of the `ledger/` benchmark against the parent
 //! commit does. Each bound sits where a 2× slowdown of the side it guards
-//! crosses it:
+//! crosses it. Every gated ratio, by its record name:
 //!
 //! * **search** — the branch-and-bound T-factory search against the
 //!   retained exhaustive enumerator on the paper's Figure 3 problem
 //!   (maj_ns_e4 / floquet, required T error 7.2e-12). Both must return the
-//!   same design; exhaustive/pruned guards the pruned search.
+//!   same design; `search_exhaustive_over_pruned` guards the pruned search.
 //! * **six-profile sweep** — one workload over the six default profiles on
 //!   a fresh `Estimator` (cold) against one whose factory cache is primed
-//!   (warm); cold/warm guards the cache-hit path.
+//!   (warm); `six_profile_cold_over_warm` guards the cache-hit path.
 //! * **stress matrix** — the 10,080-item `qre stress` sweep, run in rounds.
 //!   Each round measures:
-//!   - a cold engine, then the same engine again warm (cold/warm guards the
-//!     warm sweep);
+//!   - a cold engine, timed to its first outcome and to its last, then the
+//!     same engine again warm (`stress_cold_all_over_first` guards time to
+//!     first result, `stress_cold_over_warm` the warm sweep);
 //!   - the cold engine's designs saved to a snapshot file and loaded into
 //!     an empty store, which must then answer a whole sweep without one
-//!     search (cold/load and cold/save guard the snapshot load and save
+//!     search (`stress_cold_over_snapshot_load` and
+//!     `stress_cold_over_snapshot_save` guard the snapshot load and save
 //!     against the cold sweep whose searches they replace);
-//!   - `sweep_stream` on a fresh engine, to its first item and to
-//!     exhaustion (all/first guards time to first result, streamed/cold
-//!     guards streamed throughput);
 //!   - eight shard jobs through their own cold `run_session`, joined by
-//!     `merge_files` (sharded/cold guards the shard-and-merge pipeline);
+//!     `merge_files` (`stress_sharded_merged_over_cold` guards the
+//!     shard-and-merge pipeline);
 //!   - a fresh loopback `listen_serve` under four clients of four shard
-//!     jobs each (served/cold guards the TCP service path).
+//!     jobs each (`stress_served_over_cold` guards the TCP service path).
 //!
 //! Each stress ratio is the median over the rounds. After the last round
 //! the process peak RSS is held to a ceiling. The run's numbers are
@@ -83,11 +83,9 @@ const SEARCH: Bound = Bound::Floor(100.0);
 const SIX_PROFILE: Bound = Bound::Floor(2.6);
 /// Stress cold / warm; guards the warm sweep.
 const STRESS_WARM: Bound = Bound::Floor(2.0);
-/// Stress streamed to the last item / to the first; guards time to first
+/// Stress cold to the last item / to the first; guards time to first
 /// result.
 const FIRST_ITEM: Bound = Bound::Floor(14.0);
-/// Stress streamed / cold; guards streamed throughput.
-const STREAMED: Bound = Bound::Ceiling(1.6);
 /// Stress shard sessions + merge / cold; guards the shard-and-merge
 /// pipeline.
 const SHARDED: Bound = Bound::Ceiling(4.0);
@@ -129,7 +127,6 @@ struct Round {
     cold: f64,
     warm: f64,
     first: f64,
-    streamed: f64,
     sharded: f64,
     merge_peak_resident_bytes: usize,
     served: f64,
@@ -241,41 +238,21 @@ fn six_profile_ratio() -> f64 {
     cold_ns / warm_ns
 }
 
-/// Run the whole matrix through `engine`, asserting every item estimates.
-fn sweep_all(engine: &Estimator, spec: &SweepSpec) -> f64 {
+/// Run the whole matrix through `engine`, asserting every item estimates:
+/// (time to the first outcome, time to the last).
+fn sweep_all(engine: &Estimator, spec: &SweepSpec) -> (f64, f64) {
     let start = Instant::now();
+    let mut first = None;
     let total = engine
         .sweep_with(spec, |o| {
+            first.get_or_insert_with(|| elapsed_ns(start));
             if let Err(e) = &o.outcome {
                 panic!("stress item {} failed: {e}", o.point.index);
             }
         })
         .expect("the stress matrix expands");
     assert_eq!(total, ITEMS);
-    elapsed_ns(start)
-}
-
-/// `sweep_stream` on a fresh engine: (time to first item, time to
-/// exhaustion).
-fn stream_all(spec: &SweepSpec) -> (f64, f64) {
-    let engine = Estimator::new();
-    let start = Instant::now();
-    let stream = engine
-        .sweep_stream(spec)
-        .expect("the stress matrix expands");
-    let mut delivered = 0;
-    let mut first = 0.0;
-    for o in stream {
-        if let Err(e) = &o.outcome {
-            panic!("streamed item {} failed: {e}", o.point.index);
-        }
-        if delivered == 0 {
-            first = elapsed_ns(start);
-        }
-        delivered += 1;
-    }
-    assert_eq!(delivered, ITEMS);
-    (first, elapsed_ns(start))
+    (first.expect("the matrix has items"), elapsed_ns(start))
 }
 
 /// Eight shard jobs, each through its own cold serve session into a shard
@@ -409,10 +386,9 @@ fn snapshot_round_trip(engine: &Estimator, spec: &SweepSpec, dir: &Path) -> (f64
 
 fn stress_round(spec: &SweepSpec, dir: &Path) -> Round {
     let engine = Estimator::new();
-    let cold = sweep_all(&engine, spec);
-    let warm = sweep_all(&engine, spec);
+    let (first, cold) = sweep_all(&engine, spec);
+    let (_, warm) = sweep_all(&engine, spec);
     let (save, load, designs) = snapshot_round_trip(&engine, spec, dir);
-    let (first, streamed) = stream_all(spec);
     let (sharded, merge_peak_resident_bytes) = shard_and_merge(dir);
     let (served, job_latencies) = serve_over_tcp();
 
@@ -420,7 +396,6 @@ fn stress_round(spec: &SweepSpec, dir: &Path) -> Round {
         cold,
         warm,
         first,
-        streamed,
         sharded,
         merge_peak_resident_bytes,
         served,
@@ -430,14 +405,13 @@ fn stress_round(spec: &SweepSpec, dir: &Path) -> Round {
         designs,
     };
     println!(
-        "bench_check: stress cold {:.2}s warm {:.2}s save {:.1}ms load {:.1}ms \
-         first {:.1}ms streamed {:.2}s sharded {:.2}s served {:.2}s",
+        "bench_check: stress cold {:.2}s (first {:.1}ms) warm {:.2}s save {:.1}ms \
+         load {:.1}ms sharded {:.2}s served {:.2}s",
         cold / 1e9,
+        first / 1e6,
         warm / 1e9,
         save / 1e6,
         load / 1e6,
-        first / 1e6,
-        streamed / 1e9,
         sharded / 1e9,
         served / 1e9,
     );
@@ -473,14 +447,9 @@ fn main() -> ExitCode {
             STRESS_WARM,
         ),
         (
-            "stress_streamed_all_over_first",
-            over(|r| r.streamed / r.first),
+            "stress_cold_all_over_first",
+            over(|r| r.cold / r.first),
             FIRST_ITEM,
-        ),
-        (
-            "stress_streamed_over_cold",
-            over(|r| r.streamed / r.cold),
-            STREAMED,
         ),
         (
             "stress_sharded_merged_over_cold",
@@ -571,14 +540,13 @@ fn scale_record(
     let merge_peak = rounds.iter().map(|r| r.merge_peak_resident_bytes).max();
 
     let results = ObjectBuilder::new()
-        .field("cold", mode(over(|r| r.cold)).build())
-        .field("warm", mode(over(|r| r.warm)).build())
         .field(
-            "streamed",
-            mode(over(|r| r.streamed))
+            "cold",
+            mode(over(|r| r.cold))
                 .field("first_item_ns", over(|r| r.first) as u64)
                 .build(),
         )
+        .field("warm", mode(over(|r| r.warm)).build())
         .field(
             "sharded_merged",
             mode(over(|r| r.sharded))
@@ -620,12 +588,13 @@ fn scale_record(
         .field(
             "description",
             "The perf gate's record. The 10,080-item qre-stress matrix (120 workloads x 6 \
-             profiles x 14 budgets) run cold, warm, streamed, sharded-and-merged (8 shard serve \
-             sessions + streaming index join) and served (loopback TCP, 4 clients x 4 shard \
-             jobs), with the cold engine's designs saved to a snapshot file and loaded into an \
-             empty store; per-mode values are medians over the rounds. Every ratio is taken \
-             within this run and held to the bound beside it, placed at the worker count given \
-             here; peak_rss_bytes is the process high-water (VmHWM) after all modes.",
+             profiles x 14 budgets) run cold (timed to its first and its last item), warm, \
+             sharded-and-merged (8 shard serve sessions + streaming index join) and served \
+             (loopback TCP, 4 clients x 4 shard jobs), with the cold engine's designs saved to \
+             a snapshot file and loaded into an empty store; per-mode values are medians over \
+             the rounds. Every ratio is taken within this run and held to the bound beside it, \
+             placed at the worker count given here; peak_rss_bytes is the process high-water \
+             (VmHWM) after all modes.",
         )
         .field(
             "command",

@@ -644,14 +644,16 @@ pub(crate) fn execute(
             );
         }
         SubmissionKind::Sweep(spec) => {
-            let outcomes = engine.sweep_stream(spec).map_err(|e| e.to_string())?;
-            sink.total(outcomes.total());
-            for o in outcomes {
-                if !sink.item(sweep_item_json(&o), o.outcome.is_err()) {
-                    // Dropping the stream cancels the remaining items.
-                    break;
-                }
-            }
+            sink.total(spec.len());
+            engine
+                .sweep_until(spec, |o| {
+                    if sink.item(sweep_item_json(&o), o.outcome.is_err()) {
+                        std::ops::ControlFlow::Continue(())
+                    } else {
+                        std::ops::ControlFlow::Break(())
+                    }
+                })
+                .map_err(|e| e.to_string())?;
         }
     }
     Ok(())

@@ -7,23 +7,23 @@
 //! runs with [`Estimator::estimate`]; its trade-off curves with
 //! [`Estimator::frontier`] and [`Estimator::frontier_searched`]. Declared
 //! sweeps run through one streamed execution core
-//! ([`qre_par::parallel_map_streamed`]): items run in parallel and their
-//! outcomes are delivered **as they finish**, with per-item errors reported
-//! in place rather than aborting the sweep. Three consumption styles layer
-//! on top of that single path:
+//! ([`qre_par::parallel_map_streamed_until`]) on the calling thread: items
+//! run in parallel and their outcomes are delivered **as they finish**,
+//! with per-item errors reported in place rather than aborting the sweep.
+//! Three consumption styles layer on top of that single path:
 //!
 //! * collecting — [`Estimator::sweep`] stitches streamed outcomes back into
 //!   expansion order,
 //! * observer callback — [`Estimator::sweep_with`] hands each outcome to a
 //!   closure in completion order (progress bars, NDJSON),
-//! * iterator — [`Estimator::sweep_stream`] moves execution to a background
-//!   thread and yields outcomes in completion order as an [`Iterator`].
+//! * early stop — [`Estimator::sweep_until`] does the same, and its closure
+//!   can end the sweep (a consumer that hung up) after the in-flight items.
 //!
-//! The engine owns a [`FactoryCache`] (behind an [`Arc`], so streams share
-//! it): the expensive distillation-pipeline search is memoized across every
-//! estimate the engine runs, so repeated scenarios (a profile sweep re-run,
-//! the frontier's dozens of re-estimates of one scenario) skip the search
-//! entirely.
+//! The engine owns a [`FactoryCache`] (behind an [`Arc`], so engines can
+//! share it): the expensive distillation-pipeline search is memoized across
+//! every estimate the engine runs, so repeated scenarios (a profile sweep
+//! re-run, the frontier's dozens of re-estimates of one scenario) skip the
+//! search entirely.
 //!
 //! ## Sharing, bounding, and persisting the cache
 //!
@@ -42,7 +42,7 @@
 //! See the [`FactoryCache`] docs for the scoping model and the snapshot
 //! format.
 
-use std::sync::mpsc;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::budget::PartitionSearch;
@@ -122,8 +122,8 @@ impl Estimator {
         }))
     }
 
-    /// Estimate one expanded sweep item (shared by the collecting, observer,
-    /// and iterator forms).
+    /// Estimate one expanded sweep item (shared by the collecting and
+    /// streamed forms).
     fn sweep_outcome(&self, point: &SweepPoint, request: &Result<EstimateRequest>) -> SweepOutcome {
         SweepOutcome {
             point: point.clone(),
@@ -139,46 +139,36 @@ impl Estimator {
     /// `on_outcome` **in completion order** (the outcome's `point.index`
     /// identifies its position in the expansion). Returns the number of
     /// expanded items; only an expansion error fails the whole sweep.
-    /// This is the execution core [`Estimator::sweep`] collects from.
+    /// [`Estimator::sweep_until`] without the early stop.
     pub fn sweep_with<F>(&self, spec: &SweepSpec, mut on_outcome: F) -> Result<usize>
     where
         F: FnMut(SweepOutcome),
     {
+        self.sweep_until(spec, |outcome| {
+            on_outcome(outcome);
+            ControlFlow::Continue(())
+        })
+    }
+
+    /// [`Estimator::sweep_with`] whose callback can stop the sweep: after
+    /// `on_outcome` returns [`ControlFlow::Break`], no further items start,
+    /// the in-flight ones finish undelivered, and the call returns. The
+    /// sweep runs on the calling thread, so `on_outcome` blocking (a slow
+    /// consumer) throttles the workers through
+    /// [`qre_par::parallel_map_streamed_until`]'s bounded delivery queue.
+    /// Returns the number of expanded items, delivered or not; only an
+    /// expansion error fails the whole sweep, before any item runs.
+    pub fn sweep_until<F>(&self, spec: &SweepSpec, mut on_outcome: F) -> Result<usize>
+    where
+        F: FnMut(SweepOutcome) -> ControlFlow<()>,
+    {
         let items = spec.expand()?;
-        let total = items.len();
-        qre_par::parallel_map_streamed(
+        qre_par::parallel_map_streamed_until(
             &items,
             |_, (point, request)| self.sweep_outcome(point, request),
             |_, outcome| on_outcome(outcome),
         );
-        Ok(total)
-    }
-
-    /// Streamed sweep execution as an [`Iterator`]: expands the spec now
-    /// (expansion errors surface immediately), runs the items on a
-    /// background thread sharing this engine's factory cache, and yields
-    /// outcomes in completion order.
-    ///
-    /// Dropping the stream early cancels the run: undelivered outcomes are
-    /// discarded, no further items start, and the drop blocks only until
-    /// the in-flight items finish. A panicking item re-raises on the
-    /// consumer at the `next()` that observes the end of the stream.
-    pub fn sweep_stream(&self, spec: &SweepSpec) -> Result<SweepStream> {
-        let items = spec.expand()?;
-        let cache = Arc::clone(&self.cache);
-        Ok(SweepStream::spawn(items.len(), move |sender| {
-            let engine = Estimator::with_cache(cache);
-            qre_par::parallel_map_streamed_until(
-                &items,
-                |_, (point, request)| engine.sweep_outcome(point, request),
-                // A dropped receiver is the consumer hanging up: stop
-                // claiming new items and wind down.
-                |_, outcome| match sender.send(outcome) {
-                    Ok(()) => std::ops::ControlFlow::Continue(()),
-                    Err(_) => std::ops::ControlFlow::Break(()),
-                },
-            );
-        }))
+        Ok(items.len())
     }
 
     /// Explore the qubit/runtime frontier of one request through the shared
@@ -227,116 +217,6 @@ impl Estimator {
     }
 }
 
-/// Iterator over outcomes of a streamed sweep, yielding items in completion
-/// order from a background execution thread.
-///
-/// Produced by [`Estimator::sweep_stream`]. Each yielded outcome carries its
-/// [`SweepPoint`], so consumers can attribute results without assuming
-/// expansion order. The background thread is joined when the stream is
-/// exhausted or dropped; a panic raised by an item propagates to the
-/// consumer at that join.
-#[derive(Debug)]
-pub struct SweepStream {
-    /// `Some` until the stream ends or is dropped; dropping the receiver is
-    /// the hang-up signal that stops the background run early.
-    receiver: Option<mpsc::Receiver<SweepOutcome>>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    total: usize,
-    delivered: usize,
-}
-
-impl SweepStream {
-    /// Run `work` on a background thread feeding this stream's channel. The
-    /// nested-parallelism guard of the calling thread is replayed on the
-    /// background thread, so a stream opened from inside a parallel worker
-    /// still degrades to sequential execution.
-    ///
-    /// The channel is bounded (at [`qre_par::streamed_buffer_bound`] for the
-    /// run's worker count): a consumer that stops pulling — a serve session
-    /// writing to a slow client — blocks the background execution instead
-    /// of letting it buffer the whole sweep's outcomes in memory.
-    fn spawn<W>(total: usize, work: W) -> Self
-    where
-        W: FnOnce(mpsc::SyncSender<SweepOutcome>) + Send + 'static,
-    {
-        let (sender, receiver) = mpsc::sync_channel(qre_par::streamed_buffer_bound(
-            qre_par::max_threads().min(total.max(1)),
-        ));
-        let in_worker = qre_par::in_parallel_worker();
-        let worker = std::thread::spawn(move || {
-            qre_par::set_in_parallel_worker(in_worker);
-            work(sender);
-        });
-        SweepStream {
-            receiver: Some(receiver),
-            worker: Some(worker),
-            total,
-            delivered: 0,
-        }
-    }
-
-    /// Total number of items the underlying sweep executes.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Number of outcomes yielded so far.
-    pub fn delivered(&self) -> usize {
-        self.delivered
-    }
-
-    /// Join the background thread, re-raising a worker panic.
-    fn join_worker(&mut self) {
-        if let Some(handle) = self.worker.take() {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-}
-
-impl Iterator for SweepStream {
-    type Item = SweepOutcome;
-
-    fn next(&mut self) -> Option<SweepOutcome> {
-        match self.receiver.as_ref().and_then(|r| r.recv().ok()) {
-            Some(outcome) => {
-                self.delivered += 1;
-                Some(outcome)
-            }
-            None => {
-                // Channel closed: execution finished (or panicked — the join
-                // re-raises the payload here).
-                self.receiver = None;
-                self.join_worker();
-                None
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.total.saturating_sub(self.delivered);
-        (0, Some(remaining))
-    }
-}
-
-impl Drop for SweepStream {
-    fn drop(&mut self) {
-        // Hang up first: the background run sees the closed channel, stops
-        // claiming items, and winds down after only the in-flight ones.
-        self.receiver = None;
-        if let Some(handle) = self.worker.take() {
-            // Swallow a worker panic only when this drop is itself part of
-            // unwinding; re-raising then would abort the process.
-            if let Err(payload) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-    }
-}
-
 /// Merge the per-shard outcome vectors of a sweep back into the full
 /// expansion order, verifying completeness.
 ///
@@ -371,6 +251,7 @@ pub fn merge_indexed<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::ErrorBudget;
     use crate::physical_qubit::PhysicalQubit;
     use crate::qec::QecSchemeKind;
     use crate::request::SweepSpec;
@@ -416,71 +297,32 @@ mod tests {
     }
 
     #[test]
-    fn sweep_stream_matches_collecting_sweep() {
-        let spec = SweepSpec::new()
-            .workload("w", counts(30_000))
-            .profiles(PhysicalQubit::default_profiles())
-            .total_error_budget(1e-4);
-        let engine = Estimator::new();
-        let collected = engine.sweep(&spec).unwrap();
-
-        let stream = engine.sweep_stream(&spec).unwrap();
-        assert_eq!(stream.total(), collected.len());
-        let streamed: Vec<SweepOutcome> = stream.collect();
-        assert_eq!(streamed.len(), collected.len());
-        for o in &streamed {
-            let twin = &collected[o.point.index];
-            assert_eq!(o.point.profile, twin.point.profile);
-            assert_eq!(
-                o.outcome.as_ref().unwrap(),
-                twin.outcome.as_ref().unwrap(),
-                "streamed result must be bit-identical to the collecting API's"
-            );
-        }
-        // The stream ran on the engine's shared cache: no re-searches.
-        let stats = engine.cache_stats();
-        assert!(stats.hits >= collected.len() as u64);
-    }
-
-    #[test]
-    #[should_panic(expected = "stream worker boom")]
-    fn stream_worker_panic_propagates_to_consumer() {
-        let spec = SweepSpec::new()
-            .workload("w", counts(1_000))
-            .profile(PhysicalQubit::qubit_gate_ns_e3())
-            .total_error_budget(1e-3);
-        let (point, _) = spec.expand().unwrap().swap_remove(0);
-        let stream = SweepStream::spawn(2, |sender| {
-            sender
-                .send(SweepOutcome {
-                    point,
-                    outcome: Err(crate::Error::InvalidInput("first".into())),
-                })
-                .unwrap();
-            panic!("stream worker boom");
-        });
-        // The delivered item arrives; the panic re-raises at the `next()`
-        // that observes the closed channel.
-        for _ in stream {}
-    }
-
-    #[test]
-    fn dropping_a_stream_early_is_safe() {
+    fn breaking_after_the_first_outcome_stops_the_sweep() {
+        // Distinct budgets make every item a distinct factory design, so
+        // the cache's miss count is the number of items that ran. There
+        // are more items than the workers can run ahead of one delivery
+        // (the bounded queue plus one item in hand per worker).
+        let threads = qre_par::max_threads();
+        let items = 64.max(qre_par::streamed_buffer_bound(threads) + threads + 2);
+        let budget = |i: usize| ErrorBudget::from_total(1e-4 + i as f64 * 1e-6).unwrap();
         let spec = SweepSpec::new()
             .workload("w", counts(5_000))
-            .profiles(PhysicalQubit::default_profiles())
-            .total_error_budget(1e-3);
+            .profile(PhysicalQubit::qubit_gate_ns_e3())
+            .budgets((0..items).map(budget));
         let engine = Estimator::new();
-        let mut stream = engine.sweep_stream(&spec).unwrap();
-        let first = stream.next().unwrap();
-        assert!(first.point.index < stream.total());
-        drop(stream); // joins the background thread without panicking
-    }
-
-    #[test]
-    fn sweep_stream_reports_expansion_errors_eagerly() {
-        let engine = Estimator::new();
-        assert!(engine.sweep_stream(&SweepSpec::new()).is_err());
+        let mut delivered = 0;
+        let total = engine
+            .sweep_until(&spec, |_| {
+                delivered += 1;
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        assert_eq!(total, items);
+        assert_eq!(delivered, 1, "no delivery after the break");
+        assert!(
+            engine.cache_stats().misses < total as u64,
+            "breaking must stop the sweep before every item ran"
+        );
     }
 
     #[test]

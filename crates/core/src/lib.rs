@@ -27,9 +27,10 @@
 //! ([`Estimator::frontier`], and [`Estimator::frontier_searched`] over the
 //! error-budget partition too), and declared cartesian sweeps over a
 //! [`SweepSpec`] — collected in expansion order ([`Estimator::sweep`]),
-//! handed to an observer in completion order ([`Estimator::sweep_with`]),
-//! or yielded by a background-thread iterator ([`Estimator::sweep_stream`]).
-//! Sweep items run in parallel with per-item outcomes.
+//! or handed to an observer in completion order ([`Estimator::sweep_with`],
+//! and [`Estimator::sweep_until`], whose observer can stop the sweep).
+//! Sweep items run in parallel with per-item outcomes; the observer runs on
+//! the calling thread.
 //!
 //! The engine's memoized T-factory design store ([`FactoryCache`]) can be
 //! shared process-wide ([`FactoryCache::scoped`] views with exact per-scope
@@ -57,7 +58,7 @@ mod tfactory;
 
 pub use budget::{ErrorBudget, PartitionSearch};
 pub use cache::{CacheStats, FactoryCache, SearchCounters, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
-pub use engine::{merge_indexed, Estimator, SweepOutcome, SweepStream};
+pub use engine::{merge_indexed, Estimator, SweepOutcome};
 pub use error::{Error, Result};
 pub use estimate::Constraints;
 pub use frontier::FrontierPoint;

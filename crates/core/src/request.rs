@@ -409,19 +409,6 @@ impl SweepSpec {
         self
     }
 
-    /// Append the candidate-partition axis of a
-    /// [`crate::PartitionSearch`] grid over `base`'s total budget: the base
-    /// partition first, then the log-spaced ε_log/ε_dis splits, with ε_syn
-    /// charged only when `has_rotations`.
-    pub fn partition_axis(
-        self,
-        search: &crate::budget::PartitionSearch,
-        base: ErrorBudget,
-        has_rotations: bool,
-    ) -> Self {
-        self.budgets(search.grid(&base, has_rotations))
-    }
-
     /// Append a total error budget (split in thirds). Invalid totals surface
     /// as [`Error::InvalidInput`] when the sweep expands.
     pub fn total_error_budget(mut self, total: f64) -> Self {
@@ -844,7 +831,9 @@ mod tests {
         assert!(message.contains("8192 workloads"), "{message}");
         assert!(message.contains("8192 constraints"), "{message}");
         assert!(engine.sweep_with(&spec, |_| {}).is_err());
-        assert!(engine.sweep_stream(&spec).is_err());
+        assert!(engine
+            .sweep_until(&spec, |_| std::ops::ControlFlow::Continue(()))
+            .is_err());
         assert!(
             started.elapsed() < std::time::Duration::from_secs(1),
             "rejection took {:?}",

@@ -12,10 +12,14 @@
 //!
 //! * work distribution through a single shared atomic cursor (each worker
 //!   claims the next index; no work item is ever processed twice),
-//! * a single streamed execution core ([`parallel_map_streamed`]) that hands
-//!   `(index, result)` pairs to the caller **as workers finish**; the
-//!   collecting entry point stitches those pairs back into input order, so
-//!   `parallel_map` is a drop-in replacement for `iter().map().collect()`,
+//! * a single streamed execution core ([`parallel_map_streamed_until`])
+//!   that hands `(index, result)` pairs to a callback on the caller's
+//!   thread **as workers finish**, through one bounded queue, and lets the
+//!   callback stop the run early; the collecting entry point stitches
+//!   those pairs back into input order, so `parallel_map` is a drop-in
+//!   replacement for `iter().map().collect()`,
+//! * a worker's own calls into this crate run sequentially, so nested
+//!   parallelism never oversubscribes the machine,
 //! * panics in workers propagate to the caller (the scope re-raises them on
 //!   join), preserving the fail-fast behaviour of sequential code.
 //!
@@ -80,22 +84,6 @@ thread_local! {
     static IN_PARALLEL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// `true` while the current thread is inside a parallel worker's claim loop.
-///
-/// Helpers that move work onto a dedicated thread (e.g. a streaming iterator
-/// driving [`parallel_map_streamed`] in the background) should capture this
-/// flag and replay it on the new thread via [`set_in_parallel_worker`], so
-/// the nested-parallelism guard survives the thread hop.
-pub fn in_parallel_worker() -> bool {
-    IN_PARALLEL_WORKER.with(std::cell::Cell::get)
-}
-
-/// Mark (or unmark) the current thread as a parallel worker context; see
-/// [`in_parallel_worker`].
-pub fn set_in_parallel_worker(value: bool) {
-    IN_PARALLEL_WORKER.with(|flag| flag.set(value));
-}
-
 /// The streamed execution core: apply `f` to every element in parallel and
 /// hand `(index, result)` pairs to `on_item` **in completion order**, as
 /// workers finish.
@@ -121,9 +109,10 @@ where
 }
 
 /// Bound on results queued between the parallel workers and the consuming
-/// `on_item` callback of [`parallel_map_streamed_until`] (and of helpers
-/// built on it, like a background-thread outcome stream), for a run using
-/// `threads` workers.
+/// `on_item` callback of [`parallel_map_streamed_until`], for a run using
+/// `threads` workers. Every streamed path (a sweep, a job array, a serve
+/// job) delivers through this one queue, so it is the only buffer between
+/// the workers and a client.
 ///
 /// The delivery channel is *bounded*: when the consumer falls behind — a
 /// streamed sweep writing to a slow client, say — workers block on delivery
@@ -396,13 +385,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     proc_status_kb(&status, "VmHWM:")
 }
 
-/// Current resident set size of this process in bytes (`VmRSS` from
-/// `/proc/self/status`), or `None` where procfs is unavailable.
-pub fn current_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    proc_status_kb(&status, "VmRSS:")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,15 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_flag_round_trips() {
-        assert!(!in_parallel_worker());
-        set_in_parallel_worker(true);
-        assert!(in_parallel_worker());
-        set_in_parallel_worker(false);
-        assert!(!in_parallel_worker());
-    }
-
-    #[test]
     fn semaphore_bounds_concurrency() {
         let sem = Semaphore::new(3);
         let in_flight = AtomicUsize::new(0);
@@ -711,8 +684,8 @@ mod tests {
         assert_eq!(proc_status_kb(status, "VmHWM:"), Some(123_456 * 1024));
         assert_eq!(proc_status_kb(status, "VmRSS:"), Some(1024 * 1024));
         assert_eq!(proc_status_kb(status, "VmPeak:"), None);
-        // On Linux both readers produce non-zero values, and the high-water
-        // mark never undercuts the current RSS. The ordering is checked on
+        // On Linux both fields are non-zero, and the high-water mark never
+        // undercuts the current RSS. The ordering is checked on
         // one snapshot: the kernel reports VmHWM as the larger of the two
         // within a read, while two separate reads race sibling tests'
         // allocations.
@@ -722,7 +695,6 @@ mod tests {
             assert!(now > 0);
             assert!(peak >= now, "VmHWM {peak} < VmRSS {now}");
             assert!(peak_rss_bytes().is_some_and(|b| b > 0));
-            assert!(current_rss_bytes().is_some_and(|b| b > 0));
         }
     }
 }

@@ -2,16 +2,19 @@
 //! first result prints long before the slowest profile completes — the shape
 //! the paper's Fig. 3/4-scale sweeps want in an interactive session.
 //!
-//! Two consumption styles over the same engine core:
+//! Two consumption styles over the same engine core, both on the calling
+//! thread:
 //!
 //! * an observer callback ([`Estimator::sweep_with`]) driving a progress
-//!   counter on the calling thread,
-//! * a background-thread iterator ([`Estimator::sweep_stream`]) yielding
-//!   [`SweepOutcome`]s in completion order.
+//!   counter,
+//! * an observer that stops the sweep early ([`Estimator::sweep_until`]):
+//!   once it returns [`ControlFlow::Break`], no further item starts.
 //!
 //! ```text
 //! cargo run --example streaming_sweep --release
 //! ```
+
+use std::ops::ControlFlow;
 
 use qre::arith::{multiplication_counts, MulAlgorithm};
 use qre::estimator::{
@@ -56,14 +59,24 @@ fn main() {
         .expect("axes are non-empty");
     assert_eq!(done, total);
 
-    // Style 2: iterator from a background thread — the warm cache makes this
-    // pass near-instant, and items still arrive in completion order.
-    println!("\nsweep_stream (iterator, warm cache):");
-    let stream = engine.sweep_stream(&spec).expect("axes are non-empty");
-    println!("  expecting {} outcomes", stream.total());
-    for o in stream {
-        print_outcome(&o);
-    }
+    // Style 2: early stop — a consumer that wants only the first three
+    // outcomes (or has hung up) breaks: no further item starts, and the
+    // outcomes of items already running are dropped. The warm cache makes
+    // this pass near-instant.
+    println!("\nsweep_until (first three outcomes, warm cache):");
+    let mut taken = 0usize;
+    engine
+        .sweep_until(&spec, |o| {
+            print_outcome(&o);
+            taken += 1;
+            if taken == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .expect("axes are non-empty");
+    assert_eq!(taken, 3);
 
     let stats = engine.cache_stats();
     println!(

@@ -418,6 +418,40 @@ fn dead_output_ends_the_session_instead_of_estimating_into_the_void() {
     assert!(err.contains("consumer hung up"), "{err}");
 }
 
+#[test]
+fn dead_output_stops_a_running_sweep_after_its_in_flight_items() {
+    // One sweep of 120 distinct error budgets (120 distinct factory
+    // designs, so the store's entry count is the number of items that ran)
+    // behind a consumer that dies after one record: the job must stop
+    // claiming items once its write fails, not estimate the rest.
+    let budgets: Vec<String> = (0..120)
+        .map(|i| format!("{:e}", 1e-4 + i as f64 * 1e-6))
+        .collect();
+    let script = format!(
+        "{{ \"id\": \"flood\", \"sweep\": {{ \"algorithms\": [ {{ \"logicalCounts\": {{ \"numQubits\": 10, \"tCount\": 100 }} }} ], \"qubitParams\": [ {{ \"name\": \"qubit_gate_ns_e3\" }} ], \"errorBudgets\": [ {} ] }} }}\n",
+        budgets.join(", ")
+    );
+    let shared = ServeShared::new(&sequential());
+    let mut output = HangingUpWriter { flushes_left: 1 };
+    let err = run_session(
+        &shared,
+        &SessionConfig::default(),
+        script.as_bytes(),
+        &mut output,
+    )
+    .unwrap_err();
+    assert!(err.contains("consumer hung up"), "{err}");
+    // Searched: the delivered record and the one whose write failed, a
+    // full delivery queue, and one item in hand per worker.
+    let threads = qre_par::max_threads();
+    let bound = 2 + qre_par::streamed_buffer_bound(threads) + threads;
+    let searched = shared.store().stats().entries;
+    assert!(
+        searched <= bound,
+        "{searched} designs searched after the consumer hung up (bound {bound})"
+    );
+}
+
 /// A consumer that accepts every byte and counts the `write` and `flush`
 /// calls that delivered them.
 #[derive(Default)]

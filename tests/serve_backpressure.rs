@@ -4,10 +4,10 @@
 //! resumes reading.
 //!
 //! A serve job writes each record itself, straight to the session's
-//! output, so a stalled client blocks the job in its write. Every queue
-//! between the estimator and the consumer is bounded (the engine's
-//! outcome stream and the parallel map's delivery channel), so a stall caps
-//! the number of items estimated-but-undelivered at a small
+//! output, so a stalled client blocks the job in its write. The job's
+//! sweep runs on its own thread, so the one queue between the estimator and
+//! the consumer is the parallel map's bounded delivery channel, and a stall
+//! caps the number of items estimated-but-undelivered at a small
 //! scheduling-dependent constant.
 //!
 //! The observable: every sweep item with a distinct error budget searches a
@@ -135,14 +135,12 @@ fn stalled_consumer_bounds_estimation_run_ahead_and_loses_nothing() {
     });
 
     // The store counts every design *searched*: the records delivered
-    // before the stall, plus the maximum run-ahead — the sum of every queue
-    // between the estimator and the consumer and of the single record each
-    // blocked thread holds in hand. The duplicated streamed-bound term
-    // covers the engine's outcome stream AND the parallel map's internal
-    // delivery channel; the `+2` is one record in each blocked hand-off
-    // (the stream pump's `send`, the job's blocked write); the `THREADS`
-    // term is one searched-but-unsent item per blocked worker.
-    let bound = DELIVERED_BEFORE_STALL + 2 * qre_par::streamed_buffer_bound(THREADS) + THREADS + 2;
+    // before the stall, plus the maximum run-ahead — the one queue between
+    // the estimator and the consumer (the parallel map's delivery channel)
+    // and the single record each blocked thread holds in hand. The
+    // `THREADS` term is one searched-but-unsent item per worker blocked in
+    // `send`; the `+1` is the record in the job's blocked write.
+    let bound = DELIVERED_BEFORE_STALL + qre_par::streamed_buffer_bound(THREADS) + THREADS + 1;
 
     // Watch the store grow while the consumer is stalled: it must plateau
     // at or below the bound, nowhere near the sweep size. "Plateau" =

@@ -20,7 +20,7 @@ fn qre_threads_1_degrades_to_in_order_sequential_delivery() {
     let expected: Vec<(usize, u64)> = (0..64).map(|i| (i as usize, i * 2)).collect();
     assert_eq!(order, expected);
 
-    // The engine's observer variant delivers in expansion order…
+    // The engine's streamed sweep delivers in expansion order.
     let spec = SweepSpec::new()
         .workload(
             "w",
@@ -39,12 +39,4 @@ fn qre_threads_1_degrades_to_in_order_sequential_delivery() {
         .sweep_with(&spec, |o| indices.push(o.point.index))
         .unwrap();
     assert_eq!(indices, (0..total).collect::<Vec<_>>());
-
-    // …and so does the background-thread iterator.
-    let streamed: Vec<usize> = engine
-        .sweep_stream(&spec)
-        .unwrap()
-        .map(|o| o.point.index)
-        .collect();
-    assert_eq!(streamed, (0..total).collect::<Vec<_>>());
 }
