@@ -30,8 +30,16 @@ use qre_circuit::{Builder, QubitId, Sink};
 /// through fresh registers for exactly this reason).
 ///
 /// Cost: `tgt.len()−1` CCiX, `tgt.len()−1` measurements, `tgt.len()−1`
-/// transient ancillas (peak), `O(tgt.len())` Cliffords.
+/// transient ancillas (peak), `O(tgt.len())` Cliffords. A counting builder
+/// traces each `(src.len(), tgt.len())` shape once (see
+/// [`Builder::block`]).
 pub fn add_into<S: Sink>(b: &mut Builder<S>, src: &[QubitId], tgt: &[QubitId]) {
+    b.block(("add_into", [src.len(), tgt.len(), 0]), |b| {
+        ripple_add(b, src, tgt)
+    });
+}
+
+fn ripple_add<S: Sink>(b: &mut Builder<S>, src: &[QubitId], tgt: &[QubitId]) {
     let k = src.len();
     let m = tgt.len();
     assert!(k >= 1, "source register must be non-empty");
@@ -219,16 +227,20 @@ pub fn unmux_register<S: Sink>(
 }
 
 /// Controlled addition: `if ctrl { tgt += src }` via multiplex + add + unmux.
-/// Cost: `src.len() + tgt.len() − 1` CCiX and the matching measurements.
+/// Cost: `src.len() + tgt.len() − 1` CCiX and the matching measurements. A
+/// counting builder traces each `(src.len(), tgt.len())` shape once (see
+/// [`Builder::block`]); this is the schoolbook multiplier's row.
 pub fn controlled_add_into<S: Sink>(
     b: &mut Builder<S>,
     ctrl: QubitId,
     src: &[QubitId],
     tgt: &[QubitId],
 ) {
-    let tmp = mux_register(b, ctrl, src);
-    add_into(b, &tmp, tgt);
-    unmux_register(b, ctrl, src, tmp);
+    b.block(("controlled_add_into", [src.len(), tgt.len(), 0]), |b| {
+        let tmp = mux_register(b, ctrl, src);
+        add_into(b, &tmp, tgt);
+        unmux_register(b, ctrl, src, tmp);
+    });
 }
 
 #[cfg(test)]

@@ -26,6 +26,18 @@
 //! against ordinary integer arithmetic by an in-crate bit-level simulator,
 //! and its resource counts are pinned by closed-form tests.
 //!
+//! Counting is by composition. The repeated shapes are
+//! [`Builder::block`](qre_circuit::Builder::block)s: [`add::add_into`] and
+//! [`add::controlled_add_into`] (the schoolbook row) keyed by their widths,
+//! the windowed multiplier's window and the Karatsuba recursion node. A
+//! counting builder traces each shape once and replays it, so
+//! [`multiplication_counts`] emits `O(n)` gate events (about 12, 21 and 214
+//! per bit for schoolbook, windowed and Karatsuba), where tracing every gate
+//! would emit `Θ(n²)` or `Θ(n^{log₂3})`. A 16 384-bit program counts in
+//! milliseconds, with counts equal to tracing every gate (the
+//! `composed_counts_equal_traced_counts` law). Simulators and recording
+//! sinks still see every gate.
+//!
 //! ```
 //! use qre_arith::{multiplication_counts, MulAlgorithm};
 //!

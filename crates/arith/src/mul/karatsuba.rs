@@ -21,13 +21,22 @@
 //! The `cutoff` parameter sets the recursion base (schoolbook below it). The
 //! default of 512 reproduces the cost regime of the Q# implementation the
 //! paper measured, whose runtime first beats schoolbook multiplication near
-//! 4096 bits; see EXPERIMENTS.md for the calibration discussion.
+//! 4096 bits; the `karatsuba-crossover` claim of `qre_bench::text_claims`
+//! checks that crossover over the Figure 3 range.
 //!
 //! The Bennett sweep is emitted as a count-equivalent replay of the forward
 //! pass (adders are compute/uncompute balanced, so the adjoint sequence has
 //! the same CCiX and measurement counts and the same footprint); functional
 //! simulation therefore targets the `bennett = false` mode, which leaves the
 //! workspace dirty but computes the same product.
+//!
+//! Each recursion node is a [`Builder::block`] keyed by `(n, acc.len(),
+//! cutoff)`, and it [parks](Builder::park) its dirty workspace until the
+//! Bennett sweep [releases](Builder::release_parked) it. A counting builder
+//! therefore traces each node shape once, replays the rest (the whole
+//! reverse sweep included), and holds the parked workspace as a number
+//! instead of qubit ids: `O(n)` gate events (≈ 214 per bit from 16 384 bits
+//! on) and memory for a `Θ(n^{log₂3})`-wide workspace.
 
 use crate::add::{add_into, sub_into, xor_into};
 use crate::mul::schoolbook::schoolbook_accumulate_fresh;
@@ -76,10 +85,10 @@ pub fn karatsuba_accumulate<S: Sink>(
     // addition below is exact.
     let scratch_width = 2 * n + 2;
 
-    // Forward pass into scratch, leaving the recursion workspace dirty.
+    // Forward pass into scratch; the recursion parks its dirty workspace.
+    let keep = b.parked();
     let scratch = b.alloc_register(scratch_width);
-    let mut garbage: Vec<QubitId> = Vec::new();
-    karatsuba_rec(b, x, y, &scratch.0, cfg.cutoff, &mut garbage);
+    karatsuba_rec(b, x, y, &scratch.0, cfg.cutoff);
     // Deliver the product into the caller's accumulator.
     add_into(b, &scratch.0[..acc.len().min(scratch_width)], acc);
 
@@ -93,31 +102,41 @@ pub fn karatsuba_accumulate<S: Sink>(
     // Count-equivalent reverse sweep: release the forward workspace so the
     // replay reuses the same footprint, then replay (the adjoint has
     // identical CCiX/measurement counts because every adder is
-    // compute/uncompute balanced), then release the replay's workspace.
-    for q in garbage.drain(..).rev() {
-        b.release(q);
-    }
+    // compute/uncompute balanced), then release the replay's workspace. A
+    // counting builder replays the second pass from the first one's record.
+    b.release_parked(keep);
     b.release_register(scratch);
     let scratch2 = b.alloc_register(scratch_width);
-    let mut garbage2: Vec<QubitId> = Vec::new();
-    karatsuba_rec(b, x, y, &scratch2.0, cfg.cutoff, &mut garbage2);
-    for q in garbage2.drain(..).rev() {
-        b.release(q);
-    }
+    karatsuba_rec(b, x, y, &scratch2.0, cfg.cutoff);
+    b.release_parked(keep);
     b.release_register(scratch2);
 }
 
-/// One recursion level; pushes the dirty workspace ids onto `garbage`.
-///
-/// Contract: `x.len() == y.len() == n`, `acc.len() >= 2n + 2` (two guard
-/// bits so the shifted cross terms always fit their staging adds).
+/// One recursion node, a block keyed by `(n, acc.len(), cutoff)`: a counting
+/// builder traces each node shape once.
 fn karatsuba_rec<S: Sink>(
     b: &mut Builder<S>,
     x: &[QubitId],
     y: &[QubitId],
     acc: &[QubitId],
     cutoff: usize,
-    garbage: &mut Vec<QubitId>,
+) {
+    b.block(("karatsuba", [x.len(), acc.len(), cutoff]), |b| {
+        karatsuba_node(b, x, y, acc, cutoff)
+    });
+}
+
+/// One recursion level; parks its dirty workspace (see [`Builder::park`])
+/// for the caller's Bennett sweep to release.
+///
+/// Contract: `x.len() == y.len() == n`, `acc.len() >= 2n + 2` (two guard
+/// bits so the shifted cross terms always fit their staging adds).
+fn karatsuba_node<S: Sink>(
+    b: &mut Builder<S>,
+    x: &[QubitId],
+    y: &[QubitId],
+    acc: &[QubitId],
+    cutoff: usize,
 ) {
     let n = x.len();
     debug_assert_eq!(n, y.len());
@@ -136,9 +155,9 @@ fn karatsuba_rec<S: Sink>(
     // t0 = x0·y0, t1 = x1·y1 — fresh zero registers, filled recursively
     // (each sized with the recursion's own two guard bits).
     let t0 = b.alloc_register(2 * m + 2);
-    karatsuba_rec(b, x0, y0, &t0.0, cutoff, garbage);
+    karatsuba_rec(b, x0, y0, &t0.0, cutoff);
     let t1 = b.alloc_register(2 * (n - m) + 2);
-    karatsuba_rec(b, x1, y1, &t1.0, cutoff, garbage);
+    karatsuba_rec(b, x1, y1, &t1.0, cutoff);
 
     // sx = x0 + x1, sy = y0 + y1 (m+1 bits each; CNOT copy then add).
     let sx = b.alloc_register(m + 1);
@@ -150,7 +169,7 @@ fn karatsuba_rec<S: Sink>(
 
     // t2 = sx·sy (recursion on m+1-bit operands).
     let t2 = b.alloc_register(2 * (m + 1) + 2);
-    karatsuba_rec(b, &sx.0, &sy.0, &t2.0, cutoff, garbage);
+    karatsuba_rec(b, &sx.0, &sy.0, &t2.0, cutoff);
 
     // Combine (all arithmetic modulo 2^acc.len(), exact because the final
     // value fits):  acc += t0 + 2^m(t2 − t0 − t1) + 2^{2m} t1.
@@ -161,11 +180,9 @@ fn karatsuba_rec<S: Sink>(
     add_into(b, &t2.0, &acc[m..]);
 
     // Workspace stays dirty; the Bennett sweep (or the caller) handles it.
-    garbage.extend(t0.0);
-    garbage.extend(t1.0);
-    garbage.extend(sx.0);
-    garbage.extend(sy.0);
-    garbage.extend(t2.0);
+    for reg in [t0, t1, sx, sy, t2] {
+        b.park(reg);
+    }
 }
 
 #[cfg(test)]

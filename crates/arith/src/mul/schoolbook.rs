@@ -5,8 +5,12 @@
 //! per row, `y.len()` CCiX for the multiplex plus `y.len()+1` CCiX for the
 //! addition into a `(y.len()+2)`-bit accumulator slice — `≈ 2·n·y.len()`
 //! CCiX total (the classical `Ω(n²)` the paper quotes).
+//!
+//! Each row is one [`controlled_add_into`], so a counting builder traces one
+//! row per `(y.len(), slice.len())` shape and replays the rest: a fresh
+//! accumulator has a single row shape, and counting costs `O(n)`.
 
-use crate::add::{add_into, mux_register, unmux_register};
+use crate::add::controlled_add_into;
 use qre_circuit::{Builder, QubitId, Sink};
 
 /// `acc += x · y (mod 2^acc.len())` for a **fresh** accumulator.
@@ -60,10 +64,7 @@ fn schoolbook_impl<S: Sink>(
         } else {
             acc.len()
         };
-        let slice = &acc[i..end];
-        let tmp = mux_register(b, xi, y);
-        add_into(b, &tmp, slice);
-        unmux_register(b, xi, y, tmp);
+        controlled_add_into(b, xi, y, &acc[i..end]);
     }
 }
 

@@ -92,32 +92,38 @@ pub fn windowed_accumulate<S: Sink>(
         let window_bits = &x[offset..offset + w_here];
         let n_entries = 1usize << w_here;
         let tmp_width = ny + w_here;
-
-        let tmp = b.alloc_register(tmp_width);
-        // Table of multiples k·Y for k in 0..2^w.
-        let owned_table: Option<Vec<u64>> = match y {
-            Multiplicand::Value(v) => {
-                assert!(
-                    tmp_width <= 63,
-                    "concrete multiplicands are for test-sized operands"
-                );
-                Some((0..n_entries as u64).map(|k| k * v).collect())
-            }
-            Multiplicand::Abstract { .. } => None,
-        };
-        let table = match &owned_table {
-            Some(t) => TableData::Values(t),
-            None => TableData::Abstract { n_entries },
-        };
-        lookup(b, window_bits, &tmp.0, table);
-
         // Accumulate at the window offset. The partial sum above the offset
         // is < 2^(ny + w_here) (only windows up to here have contributed), so
         // one extra carry bit suffices.
         let end = (offset + tmp_width + 1).min(acc.len());
-        add_into_cdkm(b, &tmp.0, &acc[offset..end]);
+        let target = &acc[offset..end];
 
-        unlookup(b, window_bits, tmp.0, n_entries);
+        // The table values only choose Clifford writes, so one record per
+        // shape serves every window of a counting builder.
+        b.block(
+            ("windowed_window", [w_here, tmp_width, target.len()]),
+            |b| {
+                let tmp = b.alloc_register(tmp_width);
+                // Table of multiples k·Y for k in 0..2^w.
+                let owned_table: Option<Vec<u64>> = match y {
+                    Multiplicand::Value(v) => {
+                        assert!(
+                            tmp_width <= 63,
+                            "concrete multiplicands are for test-sized operands"
+                        );
+                        Some((0..n_entries as u64).map(|k| k * v).collect())
+                    }
+                    Multiplicand::Abstract { .. } => None,
+                };
+                let table = match &owned_table {
+                    Some(t) => TableData::Values(t),
+                    None => TableData::Abstract { n_entries },
+                };
+                lookup(b, window_bits, &tmp.0, table);
+                add_into_cdkm(b, &tmp.0, target);
+                unlookup(b, window_bits, tmp.0, n_entries);
+            },
+        );
         offset += w_here;
     }
 }

@@ -2,11 +2,13 @@
 
 use crate::add::{add_into, add_into_cdkm, controlled_add_into, sub_into};
 use crate::mul::{
-    karatsuba_accumulate, schoolbook_accumulate, windowed_accumulate, KaratsubaConfig,
-    Multiplicand, WindowedConfig,
+    emit_multiplication, karatsuba_accumulate, multiplication_counts_with, schoolbook_accumulate,
+    windowed_accumulate, KaratsubaConfig, MulAlgorithm, MulWorkloadConfig, Multiplicand,
+    WindowedConfig,
 };
 use crate::testsim::SimBuilder;
 use proptest::prelude::*;
+use qre_circuit::{Builder, CountingTracer, NullSink, TeeSink};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -150,5 +152,36 @@ proptest! {
         schoolbook_accumulate(s1.builder(), &xr, &yr, &acc);
         prop_assert_eq!(s1.read_value(&acc), 2 * x * y);
         s1.assert_all_ancillas_clean();
+    }
+}
+
+proptest! {
+    // A traced 512-bit reference costs up to ≈ 1.4 s in a debug build, so
+    // widths are drawn log-uniformly and the case count stays small.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Counting by composition equals tracing every gate: the replaying
+    /// `CountingTracer` builder of `multiplication_counts_with` and a
+    /// `TeeSink` builder, which never replays, count the same emission alike.
+    #[test]
+    fn composed_counts_equal_traced_counts(
+        alg in 0usize..3,
+        log_bits in 1.0f64..9.05,
+        window in 1usize..=12,
+        cutoff in 5usize..=64,
+        bennett in any::<bool>(),
+    ) {
+        let alg = MulAlgorithm::ALL[alg];
+        let bits = (2f64.powf(log_bits).round() as usize).clamp(2, 512);
+        let cfg = MulWorkloadConfig {
+            karatsuba: KaratsubaConfig { cutoff, bennett },
+            windowed: WindowedConfig { window: Some(window) },
+        };
+        let mut traced = Builder::new(TeeSink::new(CountingTracer::new(), NullSink));
+        emit_multiplication(&mut traced, alg, bits, cfg);
+        prop_assert_eq!(
+            multiplication_counts_with(alg, bits, cfg),
+            traced.into_sink().first.counts()
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Ablation ABL4: Karatsuba construction knobs — the schoolbook cutoff (the
-//! one calibrated parameter, see EXPERIMENTS.md) and the Bennett clean-up
-//! sweep versus a dirty workspace.
+//! one calibrated parameter: its default of 512 puts the runtime crossover
+//! near 4,096 bits, which the `karatsuba-crossover` claim of `text_claims`
+//! checks) and the Bennett clean-up sweep versus a dirty workspace.
 //!
 //! ```text
 //! cargo run -p qre-bench --bin ablation_karatsuba --release

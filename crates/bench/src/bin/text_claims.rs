@@ -1,8 +1,9 @@
-//! Checks the paper's Section V **in-text claims** (TEXT5 in DESIGN.md)
-//! against freshly computed Figure 3/4 sweeps: logical qubit count and
-//! logical operation count of the windowed algorithm at 2 048 bits, the code
-//! distances, the cross-profile runtime and rQOPS ranges, and the
-//! qualitative Karatsuba statements.
+//! Checks the paper's eight Section V **in-text claims** against freshly
+//! computed Figure 3/4 sweeps: logical qubit count and logical operation
+//! count of the windowed algorithm at 2 048 bits, the code distances, the
+//! cross-profile runtime and rQOPS ranges, and the qualitative Karatsuba
+//! statements. Exits 1 if any claim deviates; CI runs it, and
+//! `tests/paper_claims.rs` asserts the same checks in tier-1.
 //!
 //! ```text
 //! cargo run -p qre-bench --bin text_claims --release

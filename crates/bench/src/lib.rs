@@ -303,8 +303,8 @@ pub struct ClaimCheck {
     pub ok: bool,
 }
 
-/// Evaluate the Section V in-text claims (TEXT5 in DESIGN.md) against a
-/// freshly computed Figure 3/4 sweep.
+/// Evaluate the eight Section V in-text claims against a freshly computed
+/// Figure 3/4 sweep (`tests/paper_claims.rs` asserts every one).
 pub fn text_claims(fig3: &[ScenarioResult], fig4: &[ScenarioResult]) -> Vec<ClaimCheck> {
     let mut checks = Vec::new();
     let windowed_2048_maj = fig3

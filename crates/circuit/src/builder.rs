@@ -4,9 +4,17 @@
 //! a [`CountingTracer`](crate::CountingTracer) (for huge circuits) or record
 //! a [`Circuit`](crate::Circuit) (for inspection, QIR emission, or validation
 //! of the counting path).
+//!
+//! A counting builder also counts by composition: [`Builder::block`] traces
+//! a repeated block once and replays its recorded effect.
 
 use crate::gate::{Gate, QubitId};
-use crate::tracer::Sink;
+use crate::tracer::{BlockRecord, Sink};
+use std::collections::HashMap;
+
+/// Names a block shape for [`Builder::block`]: the gadget, plus the widths
+/// and settings its emission depends on (unused slots are 0).
+pub type BlockKey = (&'static str, [usize; 3]);
 
 /// A contiguous logical register: an ordered list of qubit ids, little-endian
 /// (index 0 is the least significant bit for the arithmetic library).
@@ -52,6 +60,12 @@ pub struct Builder<S: Sink> {
     next_fresh: u32,
     free: Vec<QubitId>,
     live: u64,
+    /// Parked qubits held by id, in parking order.
+    parked_ids: Vec<QubitId>,
+    /// Parked qubits held as a number (parked while replay was on; they
+    /// precede every id in `parked_ids`).
+    parked_count: u64,
+    blocks: HashMap<BlockKey, BlockRecord>,
 }
 
 impl<S: Sink> Builder<S> {
@@ -62,6 +76,9 @@ impl<S: Sink> Builder<S> {
             next_fresh: 0,
             free: Vec::new(),
             live: 0,
+            parked_ids: Vec::new(),
+            parked_count: 0,
+            blocks: HashMap::new(),
         }
     }
 
@@ -111,6 +128,102 @@ impl<S: Sink> Builder<S> {
     pub fn release_register(&mut self, reg: Register) {
         for q in reg.0 {
             self.release(q);
+        }
+    }
+
+    /// `true` while [`Builder::block`] replays: the sink is a
+    /// [`CountingTracer`](crate::CountingTracer) that has seen no rotation.
+    fn replaying(&mut self) -> bool {
+        self.sink.counting().is_some_and(|t| t.rotation_free())
+    }
+
+    /// Emit `emit` as the block `key`: counting by composition.
+    ///
+    /// While the sink is a [`CountingTracer`](crate::CountingTracer) that
+    /// has seen no rotation, the first call with a key traces the block and
+    /// records its count delta, its peak width above the entry width and the
+    /// qubits it leaves [parked](Builder::park); every later call replays
+    /// that record in O(1). The replay is exact because every rotation layer
+    /// is 0 until the first rotation, so a rotation-free block adds the same
+    /// counts wherever it runs. A block that counts a rotation is never
+    /// recorded, and after the first rotation every block is traced again.
+    /// Other sinks ([`Circuit`](crate::Circuit),
+    /// [`TeeSink`](crate::TeeSink), [`NullSink`](crate::NullSink), a
+    /// simulator) see every gate. The table lives in one builder: nothing is
+    /// shared across builders or calls.
+    ///
+    /// `key` must name everything the emission depends on. The block must
+    /// release every qubit it allocates except those it parks, and no qubit
+    /// allocated before it.
+    pub fn block(&mut self, key: BlockKey, emit: impl FnOnce(&mut Self)) {
+        let Some(tracer) = self.sink.counting().filter(|t| t.rotation_free()) else {
+            return emit(self);
+        };
+        if let Some(record) = self.blocks.get(&key) {
+            tracer.replay(record);
+            self.live += record.parked;
+            self.parked_count += record.parked;
+            return;
+        }
+        let mark = tracer.begin_block();
+        let parked = self.parked_count;
+        emit(self);
+        let tracer = self.sink.counting().expect("the sink kept counting");
+        if let Some(record) = tracer.end_block(mark) {
+            assert_eq!(
+                record.parked,
+                self.parked_count - parked,
+                "block {key:?} leaves qubits allocated that it did not park"
+            );
+            self.blocks.insert(key, record);
+        }
+    }
+
+    /// Park a register: its qubits stay allocated, and counted, until
+    /// [`Builder::release_parked`], and the caller gives up their ids. While
+    /// replaying, parked qubits are held as a number and their ids are never
+    /// reused, so a parked workspace costs no memory; this is exact only if
+    /// no rotation is emitted before they are released. Otherwise the ids are
+    /// kept and released in reverse parking order.
+    pub fn park(&mut self, reg: Register) {
+        if self.replaying() {
+            self.parked_count += reg.len() as u64;
+        } else {
+            self.parked_ids.extend(reg.0);
+        }
+    }
+
+    /// Number of currently parked qubits.
+    pub fn parked(&self) -> u64 {
+        self.parked_count + self.parked_ids.len() as u64
+    }
+
+    /// Release every qubit parked after the first `keep` (a value of
+    /// [`Builder::parked`] taken earlier), the most recently parked first.
+    pub fn release_parked(&mut self, keep: u64) {
+        let mut excess = self
+            .parked()
+            .checked_sub(keep)
+            .expect("`keep` is a value of `parked()` taken earlier");
+        while excess > 0 {
+            let Some(q) = self.parked_ids.pop() else {
+                break;
+            };
+            self.release(q);
+            excess -= 1;
+        }
+        if excess > 0 {
+            let tracer = self
+                .sink
+                .counting()
+                .expect("parked by number while counting");
+            debug_assert!(
+                tracer.rotation_free(),
+                "a rotation was emitted while qubits were parked by number"
+            );
+            tracer.release_unnamed(excess);
+            self.parked_count -= excess;
+            self.live -= excess;
         }
     }
 
@@ -218,7 +331,7 @@ impl<S: Sink> Builder<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracer::CountingTracer;
+    use crate::tracer::{CountingTracer, NullSink};
 
     #[test]
     fn alloc_reuses_released_ids() {
@@ -269,6 +382,55 @@ mod tests {
         assert_eq!(c.ccix_count, 1);
         assert_eq!(c.rotation_count, 1);
         assert_eq!(c.measurement_count, 1);
+    }
+
+    /// Three calls of one block that widens by three, counts one of each
+    /// non-Clifford kind and parks one qubit; then the parked qubits go and
+    /// four more come.
+    fn parking_blocks<S: Sink>(b: &mut Builder<S>) {
+        let q = b.alloc_register(2);
+        let keep = b.parked();
+        for _ in 0..3 {
+            b.block(("parking", [2, 0, 0]), |b| {
+                let t = b.alloc_register(3);
+                b.ccix(q.bit(0), q.bit(1), t.bit(0));
+                b.ccz(t.bit(1), t.bit(2), q.bit(0));
+                b.t(t.bit(2));
+                b.measure_x(t.bit(1));
+                b.release_register(t.slice(1..3));
+                b.park(t.slice(0..1));
+            });
+        }
+        assert_eq!(b.parked(), 3);
+        b.release_parked(keep);
+        let _ = b.alloc_register(4);
+    }
+
+    #[test]
+    fn blocks_replay_what_tracing_counts() {
+        let mut composed = Builder::new(CountingTracer::new());
+        parking_blocks(&mut composed);
+        assert_eq!(composed.blocks.len(), 1);
+        assert_eq!(composed.live_qubits(), 6);
+        let mut traced = Builder::new(crate::TeeSink::new(CountingTracer::new(), NullSink));
+        parking_blocks(&mut traced);
+        assert!(traced.blocks.is_empty(), "a tee sees every gate");
+        let c = composed.into_sink().counts();
+        assert_eq!(c, traced.into_sink().first.counts());
+        // Two operands, two qubits parked by earlier calls, three transient.
+        assert_eq!(c.num_qubits, 7);
+        assert_eq!((c.ccix_count, c.ccz_count, c.t_count), (3, 3, 3));
+        assert_eq!(c.measurement_count, 3);
+
+        // A block that counts a rotation is never recorded.
+        let mut b = Builder::new(CountingTracer::new());
+        let q = b.alloc();
+        for _ in 0..2 {
+            b.block(("rotation", [0; 3]), |b| b.rz(0.3, q));
+        }
+        assert!(b.blocks.is_empty());
+        let c = b.into_sink().counts();
+        assert_eq!((c.rotation_count, c.rotation_depth), (2, 2));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`Gate`] / [`GateKind`] — the planar-ISA gate vocabulary with resource
 //!   classification (Clifford / T / rotation / Toffoli-like / measurement),
 //! * [`Builder`] — qubit lifetime management plus ergonomic gate emission,
-//!   generic over an event [`Sink`],
+//!   generic over an event [`Sink`], with counting by composition:
+//!   [`Builder::block`] traces a repeated block once and replays its counts,
 //! * [`CountingTracer`] — streaming pre-layout counter (peak width, category
 //!   counts, ASAP rotation depth) that never materialises the circuit,
 //! * [`Circuit`] — a recorded instruction stream, replayable into any sink,
@@ -42,7 +43,7 @@ mod gate;
 pub mod qir;
 mod tracer;
 
-pub use builder::{Builder, Register};
+pub use builder::{BlockKey, Builder, Register};
 pub use circuit::{Circuit, Instruction};
 pub use counts::{LogicalCounts, LogicalCountsBuilder};
 pub use gate::{classify_angle, Gate, GateKind, QubitId};

@@ -17,7 +17,7 @@
 //! }
 //! ```
 //!
-//! Dialect notes (documented deviations, see DESIGN.md §7):
+//! Dialect notes (deviations from the base profile):
 //! * `__quantum__qis__ccix__body` is accepted for the CCiX / logical-AND
 //!   gate, and `__quantum__qis__mx__body` for X-basis measurement; both are
 //!   extensions the emitter also produces.

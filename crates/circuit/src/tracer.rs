@@ -15,6 +15,16 @@
 //! operands (entanglement propagates scheduling dependencies); a rotation
 //! advances its qubit to the next layer. The final rotation depth is the
 //! maximum layer index reached.
+//!
+//! Until the first rotation every layer index is 0, so no gate can change
+//! one. The tracer skips layer bookkeeping in that state, and the same fact
+//! makes **counting by composition** exact: a rotation-free stretch of gates
+//! adds the same counts, reaches the same peak above its entry width and
+//! leaves the same number of qubits allocated wherever it runs and whichever
+//! qubit ids it touches. So [`Builder::block`](crate::Builder::block)
+//! replays a recorded block into a sink whose [`Sink::counting`] hands out
+//! a `CountingTracer` that has seen no rotation, and traces it for every
+//! other sink.
 
 use crate::counts::LogicalCounts;
 use crate::gate::{Gate, GateKind, QubitId};
@@ -27,6 +37,13 @@ pub trait Sink {
     fn on_release(&mut self, q: QubitId);
     /// A gate (or measurement) was applied.
     fn on_gate(&mut self, gate: Gate, qubits: &[QubitId]);
+    /// The sink's [`CountingTracer`], when counting is all the sink does.
+    /// [`Builder::block`](crate::Builder::block) replays recorded blocks
+    /// into it instead of emitting their gates. The default, `None`, makes
+    /// the sink see every event.
+    fn counting(&mut self) -> Option<&mut CountingTracer> {
+        None
+    }
 }
 
 /// Streaming pre-layout resource counter.
@@ -41,9 +58,30 @@ pub struct CountingTracer {
     ccz_count: u64,
     ccix_count: u64,
     measurement_count: u64,
-    /// Per-qubit rotation-layer index (ASAP schedule), indexed by qubit id.
+    /// Per-qubit rotation-layer index (ASAP schedule), indexed by qubit id;
+    /// a qubit without a slot is at layer 0.
     layer: Vec<u64>,
     max_layer: u64,
+}
+
+/// The recorded effect of a rotation-free block (see
+/// [`Builder::block`](crate::Builder::block)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockRecord {
+    /// Counts the block adds; `num_qubits` is its peak width above the width
+    /// at entry.
+    delta: LogicalCounts,
+    /// Qubits the block leaves allocated: its width at exit above the width
+    /// at entry.
+    pub(crate) parked: u64,
+}
+
+/// Where a block being recorded began.
+#[derive(Debug)]
+pub(crate) struct BlockMark {
+    /// The counts at entry; `num_qubits` is the peak the block suspends.
+    entry: LogicalCounts,
+    live: u64,
 }
 
 impl CountingTracer {
@@ -70,25 +108,73 @@ impl CountingTracer {
         self.live
     }
 
-    #[inline]
-    fn layer_slot(&mut self, q: QubitId) -> &mut u64 {
-        let idx = q.index();
-        if idx >= self.layer.len() {
-            self.layer.resize(idx + 1, 0);
+    /// `true` until the first rotation: every layer index is still 0.
+    pub(crate) fn rotation_free(&self) -> bool {
+        self.max_layer == 0
+    }
+
+    /// Start recording a block: remember the counts at entry and restart the
+    /// peak at the current width, so that the block's own peak shows.
+    pub(crate) fn begin_block(&mut self) -> BlockMark {
+        let mark = BlockMark {
+            entry: self.counts(),
+            live: self.live,
+        };
+        self.peak = self.live;
+        mark
+    }
+
+    /// Finish the block begun at `mark` and restore the suspended peak. The
+    /// record is `None` when the block counted a rotation or released more
+    /// qubits than it allocated.
+    pub(crate) fn end_block(&mut self, mark: BlockMark) -> Option<BlockRecord> {
+        let above = self.peak - mark.live;
+        self.peak = self.peak.max(mark.entry.num_qubits);
+        let (now, entry) = (self.counts(), mark.entry);
+        if now.rotation_count != entry.rotation_count {
+            return None;
         }
-        &mut self.layer[idx]
+        Some(BlockRecord {
+            delta: LogicalCounts {
+                num_qubits: above,
+                t_count: now.t_count - entry.t_count,
+                ccz_count: now.ccz_count - entry.ccz_count,
+                ccix_count: now.ccix_count - entry.ccix_count,
+                measurement_count: now.measurement_count - entry.measurement_count,
+                ..LogicalCounts::default()
+            },
+            parked: self.live.checked_sub(mark.live)?,
+        })
+    }
+
+    /// Apply a recorded block's effect without seeing its gates.
+    pub(crate) fn replay(&mut self, record: &BlockRecord) {
+        let d = &record.delta;
+        self.peak = self.peak.max(self.live + d.num_qubits);
+        self.t_count += d.t_count;
+        self.ccz_count += d.ccz_count;
+        self.ccix_count += d.ccix_count;
+        self.measurement_count += d.measurement_count;
+        self.live += record.parked;
+    }
+
+    /// Release `n` qubits that are live but have no id any more (parked by
+    /// number, see [`Builder::park`](crate::Builder::park)).
+    pub(crate) fn release_unnamed(&mut self, n: u64) {
+        debug_assert!(self.live >= n, "release without matching allocate");
+        self.live -= n;
     }
 }
 
 impl Sink for CountingTracer {
-    fn on_allocate(&mut self, q: QubitId) {
+    fn on_allocate(&mut self, _q: QubitId) {
         self.live += 1;
         self.peak = self.peak.max(self.live);
         // A reused qubit keeps its causal position in the rotation schedule:
         // its old layer index stays, which is conservative (a fresh qubit
         // could in principle start at layer 0, but it is allocated after the
-        // releasing gate, so the dependency is real for reuse).
-        let _ = self.layer_slot(q);
+        // releasing gate, so the dependency is real for reuse). A fresh
+        // qubit has no slot yet, which reads as layer 0.
     }
 
     fn on_release(&mut self, q: QubitId) {
@@ -125,19 +211,31 @@ impl Sink for CountingTracer {
             }
         }
     }
+
+    fn counting(&mut self) -> Option<&mut CountingTracer> {
+        Some(self)
+    }
 }
 
 impl CountingTracer {
     /// Synchronise operand layers to their maximum; if `advance`, the gate is
     /// a rotation and all operands move one layer past that maximum.
     fn sync_layers(&mut self, qubits: &[QubitId], advance: bool) {
-        let mut max = 0u64;
-        for &q in qubits {
-            max = max.max(*self.layer_slot(q));
+        if !advance && self.max_layer == 0 {
+            return; // every layer is still 0
         }
+        let max = qubits
+            .iter()
+            .map(|q| self.layer.get(q.index()).copied().unwrap_or(0))
+            .max()
+            .unwrap_or(0);
         let new = if advance { max + 1 } else { max };
         for &q in qubits {
-            *self.layer_slot(q) = new;
+            let idx = q.index();
+            if idx >= self.layer.len() {
+                self.layer.resize(idx + 1, 0);
+            }
+            self.layer[idx] = new;
         }
         if advance {
             self.max_layer = self.max_layer.max(new);
