@@ -9,13 +9,8 @@
 //! * [`gadgets`] — the AND compute/uncompute pair (CCiX + measurement),
 //! * [`add`] — Gidney and CDKM in-place adders, subtraction, controlled
 //!   addition, multiplexing, and a controlled incrementer,
-//! * [`constadd`] — classical-constant addition, subtraction, comparison,
-//!   and controlled constant addition,
-//! * [`compare`] — less-than and equality comparators,
 //! * [`lookup`] — QROM table lookup via unary iteration, with Gidney's
 //!   measurement-based uncomputation,
-//! * [`modular`] — Shor-style modular addition/subtraction/doubling with a
-//!   classical modulus,
 //! * [`mul`] — the paper's three multiplication algorithms (schoolbook,
 //!   Karatsuba, windowed) behind the [`MulAlgorithm`] workload interface,
 //! * [`qpe`] — phase-estimation workloads (inverse QFT emission and
@@ -50,11 +45,8 @@
 #![warn(clippy::all)]
 
 pub mod add;
-pub mod compare;
-pub mod constadd;
 pub mod gadgets;
 pub mod lookup;
-pub mod modular;
 pub mod mul;
 pub mod qpe;
 

@@ -50,8 +50,7 @@ pub struct KaratsubaConfig {
     pub cutoff: usize,
     /// Emit the Bennett sweep (forward, copy out, reverse) so the workspace
     /// ends clean. `false` leaves the sub-product registers dirty (half the
-    /// gate cost, same asymptotics) — used by functional tests and available
-    /// as an ablation.
+    /// gate cost, same asymptotics) — used by functional tests.
     pub bennett: bool,
 }
 
@@ -95,7 +94,7 @@ pub fn karatsuba_accumulate<S: Sink>(
     if !cfg.bennett {
         // Dirty mode: workspace and scratch remain allocated (and
         // entangled); qubits stay counted, which is the point for resource
-        // estimation. Used by functional tests and the ablation bench.
+        // estimation. Used by functional tests.
         return;
     }
 

@@ -163,12 +163,6 @@ impl SimBuilder {
         v
     }
 
-    /// Mark a gadget-produced qubit (e.g. a comparator flag) as user-owned so
-    /// [`Self::assert_all_ancillas_clean`] does not treat it as a leak.
-    pub fn adopt(&mut self, q: QubitId) {
-        self.user_bits.insert(q.0);
-    }
-
     /// Assert that every bit outside user registers is |0⟩ — i.e. all
     /// gadget-internal ancillas were properly uncomputed.
     pub fn assert_all_ancillas_clean(&mut self) {

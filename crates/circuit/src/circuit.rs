@@ -53,14 +53,6 @@ impl Circuit {
         self.instructions.is_empty()
     }
 
-    /// Number of gate instructions (excluding allocate/release).
-    pub fn gate_count(&self) -> usize {
-        self.instructions
-            .iter()
-            .filter(|i| matches!(i, Instruction::Gate { .. }))
-            .count()
-    }
-
     /// Append a gate directly (validating arity).
     pub fn push_gate(&mut self, gate: Gate, qubits: Vec<QubitId>) {
         assert_eq!(
@@ -144,7 +136,12 @@ mod tests {
         b.measure(r.bit(0));
         b.measure(r.bit(1));
         let circuit = b.into_sink();
-        assert_eq!(circuit.gate_count(), 5);
+        let gates = circuit
+            .instructions()
+            .iter()
+            .filter(|i| matches!(i, Instruction::Gate { .. }))
+            .count();
+        assert_eq!(gates, 5);
         assert_eq!(circuit.len(), 7); // + 2 allocations
         let c = circuit.counts();
         assert_eq!(c.num_qubits, 2);

@@ -44,15 +44,6 @@ impl LogicalCounts {
         self.ccz_count + self.ccix_count
     }
 
-    /// `true` when the algorithm contains no non-Clifford operation at all
-    /// (such programs need no T factories and no synthesis budget).
-    pub fn is_clifford_only(&self) -> bool {
-        self.t_count == 0
-            && self.rotation_count == 0
-            && self.toffoli_like() == 0
-            && self.measurement_count == 0
-    }
-
     /// Sequential composition: `self` followed by `other` on the same
     /// machine. Qubit demand is the maximum of the two; every count and the
     /// rotation depth add.
@@ -298,17 +289,6 @@ mod tests {
         let r0 = a.repeat(0);
         assert_eq!(r0.t_count, 0);
         assert_eq!(r0.num_qubits, 10); // qubits persist
-    }
-
-    #[test]
-    fn clifford_only_detection() {
-        assert!(LogicalCounts::default().is_clifford_only());
-        assert!(!sample().is_clifford_only());
-        let meas_only = LogicalCounts::builder()
-            .logical_qubits(1)
-            .measurements(5)
-            .build();
-        assert!(!meas_only.is_clifford_only());
     }
 
     #[test]

@@ -77,7 +77,9 @@ mod stress;
 
 pub use merge::{merge_files, MergeSummary};
 pub use net_serve::{listen_serve, ListenSummary};
-pub use serve::{run_session, serve, ServeOptions, ServeShared, ServeSummary, SessionConfig};
+pub use serve::{
+    run_session, serve, ServeOptions, ServeShared, ServeSummary, SessionConfig, MAX_LINE_BYTES,
+};
 pub use stress::{stress_job_line, stress_spec, write_stress_jobs, StressShape, StressSummary};
 
 use std::io::Write;

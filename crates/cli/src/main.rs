@@ -57,7 +57,8 @@ fn usage() -> &'static str {
      `qre serve` reads one JSON job per stdin line until EOF and writes\n\
      completion-order NDJSON records (every record carries its \"job\" id;\n\
      each job ends with a \"stats\" record). Malformed lines yield error\n\
-     records and the session continues.\n\
+     records and the session continues, as do lines that are not UTF-8 or\n\
+     longer than 16 MiB (the reader skips to the next newline).\n\
      \x20 --jobs N          concurrent jobs (default 2; with --listen this is\n\
      \x20                   the process-wide bound across all connections,\n\
      \x20                   default 8)\n\

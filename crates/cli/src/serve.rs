@@ -52,7 +52,10 @@
 //!   process-wide design-store size and eviction count,
 //! * `{"job": .., "status": "error", "message": ..}` for a line that fails
 //!   to parse or validate — the session continues; malformed input never
-//!   kills the server.
+//!   kills the server. A line that is not valid UTF-8, or longer than
+//!   [`MAX_LINE_BYTES`] (16 MiB before its newline), gets such a record too.
+//!   The reader skips the rest of an over-long line without buffering it
+//!   and resumes at the next newline.
 //!
 //! Network sessions ([`SessionConfig::lifecycle`]) additionally frame the
 //! job records with **lifecycle records**: a `{"hello": {...}}` first line
@@ -107,7 +110,7 @@
 //!   so the path always holds one complete, valid snapshot — whichever
 //!   process saved last — never a torn interleaving.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -116,6 +119,11 @@ use qre_core::{Estimator, FactoryCache, Shard};
 use qre_json::{ObjectBuilder, Value};
 
 use crate::{error_object, merge_objects, ItemSink, RecordWriter, SubmissionKind};
+
+/// Longest job line a session reads, in bytes before its newline: ample for
+/// any real job (the 100,044-point stress job line is 173,417 bytes), and a
+/// bound on what one line can make the reader buffer.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// Knobs of a serve service (pipe or network).
 #[derive(Debug, Clone)]
@@ -179,8 +187,9 @@ pub struct ServeSummary {
     /// Non-blank input lines consumed (jobs attempted plus control
     /// commands).
     pub jobs: usize,
-    /// Jobs that produced a job-level error record: an unparseable line, an
-    /// invalid submission, a bad `shard`, or an unknown control command.
+    /// Jobs that produced a job-level error record: an unparseable,
+    /// non-UTF-8 or over-long line, an invalid submission, a bad `shard`, or
+    /// an unknown control command.
     /// Estimation failures *inside* a job (a failing single estimate, a
     /// failing batch/sweep item) are reported in place and tallied in that
     /// job's `"stats"` record, not here.
@@ -343,12 +352,12 @@ pub struct SessionConfig {
 /// records, and the reader writes the lifecycle and control records, all
 /// through one lock around `output`. Returns `Err` only for transport
 /// failures — an unreadable input or an output that stops accepting
-/// writes; malformed job lines produce error records and the session
-/// continues.
+/// writes; malformed job lines, non-UTF-8 ones and ones longer than
+/// [`MAX_LINE_BYTES`] produce error records and the session continues.
 pub fn run_session<R, W>(
     shared: &ServeShared,
     config: &SessionConfig,
-    input: R,
+    mut input: R,
     output: &mut W,
 ) -> Result<ServeSummary, String>
 where
@@ -371,7 +380,6 @@ where
     // Every job thread joins here, so the bye record below is provably the
     // session's last record.
     std::thread::scope(|scope| {
-        let mut lines = input.lines();
         loop {
             // Checked *before* reading, never after: a line this session
             // has consumed is always processed — a drain stops the session
@@ -379,19 +387,28 @@ where
             if writer.failed() || shared.shutdown.is_signalled() {
                 break;
             }
-            let line = match lines.next() {
-                None => break,
-                Some(Ok(line)) => line,
-                Some(Err(e)) => {
+            let line = match read_line(&mut input) {
+                Ok(None) => break,
+                Ok(Some(line)) => line,
+                Err(e) => {
                     fatal = Some(format!("failed to read serve input: {e}"));
                     break;
                 }
             };
-            if line.trim().is_empty() {
+            if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
                 continue;
             }
             jobs += 1;
             let ordinal = jobs;
+            let line = match line {
+                Ok(line) => line,
+                Err(message) => {
+                    let id = Value::from(ordinal as u64);
+                    writer.write(&error_record(&id, format!("invalid job: {message}")));
+                    job_errors.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+            };
             // Control commands are handled inline on the reader — a drain
             // must take effect before later queued lines, not race them. The
             // substring test is only a fast-path filter; the parsed document
@@ -457,6 +474,40 @@ where
         designs_saved: 0,
         drained: shared.shutdown.is_signalled(),
     })
+}
+
+/// Read one input line, without its `\n` or `\r\n`; `Ok(None)` at end of
+/// input. A line that is longer than [`MAX_LINE_BYTES`] or not valid UTF-8
+/// comes back as `Err` naming the problem. The rest of an over-long line
+/// is consumed up to and including its newline without being buffered.
+fn read_line<R: BufRead>(input: &mut R) -> std::io::Result<Option<Result<String, String>>> {
+    let mut bytes = Vec::new();
+    // Room for a full-length line and its `\r\n`.
+    input
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 2)
+        .read_until(b'\n', &mut bytes)?;
+    if bytes.is_empty() {
+        return Ok(None);
+    }
+    let terminated = bytes.last() == Some(&b'\n');
+    if terminated {
+        bytes.pop();
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+    }
+    if bytes.len() > MAX_LINE_BYTES {
+        if !terminated {
+            input.skip_until(b'\n')?;
+        }
+        return Ok(Some(Err(format!(
+            "line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(String::from_utf8(bytes).map_err(|e| {
+        format!("line is not valid UTF-8 ({})", e.utf8_error())
+    })))
 }
 
 /// Run a single-session pipe service: one [`ServeShared`] for one

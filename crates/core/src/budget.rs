@@ -85,10 +85,9 @@ impl ErrorBudget {
 /// A deterministic grid of candidate partitions of one total error budget
 /// (paper Section IV-C.3 treats the split as a free design axis).
 ///
-/// The grid is parameterised by a list of ε_log : ε_dis odds ratios,
-/// geometric around 1 by default, so the explored splits are log-spaced
-/// between "almost everything to QEC" and "almost everything to
-/// distillation". The synthesis slice ε_syn is charged only when the
+/// The grid spans nine ε_log : ε_dis odds ratios, log-spaced from 1:16 to
+/// 16:1, so the explored splits run from "almost everything to QEC" to
+/// "almost everything to distillation". The synthesis slice ε_syn is charged only when the
 /// program actually contains arbitrary rotations; for rotation-free
 /// programs the grid reclaims it and redistributes the full total between
 /// ε_log and ε_dis — this is where a searched partition beats the default
@@ -124,34 +123,6 @@ impl Default for PartitionSearch {
 }
 
 impl PartitionSearch {
-    /// The default log-spaced grid.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A grid over explicit ε_log : ε_dis odds ratios. Every ratio must be
-    /// finite and positive; the list must not be empty.
-    pub fn with_ratios(ratios: Vec<f64>) -> Result<Self> {
-        if ratios.is_empty() {
-            return Err(Error::InvalidInput(
-                "partition search needs at least one ratio".into(),
-            ));
-        }
-        for &r in &ratios {
-            if !(r.is_finite() && r > 0.0) {
-                return Err(Error::InvalidInput(format!(
-                    "partition ratios must be finite and positive, got {r}"
-                )));
-            }
-        }
-        Ok(PartitionSearch { ratios })
-    }
-
-    /// The configured ε_log : ε_dis odds ratios.
-    pub fn ratios(&self) -> &[f64] {
-        &self.ratios
-    }
-
     /// The candidate partitions for `base`'s total budget, base first.
     ///
     /// When the program has rotations, ε_syn keeps the base's synthesis
@@ -265,15 +236,6 @@ mod tests {
         // At least one candidate gives logical errors more than the even
         // third the base wastes part of.
         assert!(grid[1..].iter().any(|b| b.logical > base.logical * 2.0));
-    }
-
-    #[test]
-    fn partition_search_rejects_bad_ratios() {
-        assert!(PartitionSearch::with_ratios(vec![]).is_err());
-        assert!(PartitionSearch::with_ratios(vec![0.0]).is_err());
-        assert!(PartitionSearch::with_ratios(vec![-1.0]).is_err());
-        assert!(PartitionSearch::with_ratios(vec![f64::INFINITY]).is_err());
-        assert!(PartitionSearch::with_ratios(vec![1.0, 4.0]).is_ok());
     }
 
     #[test]

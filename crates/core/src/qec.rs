@@ -296,16 +296,6 @@ impl DistanceTable {
     pub fn rows(&self) -> &[DistanceRow] {
         &self.rows
     }
-
-    /// The row for one odd code distance, if within the table's range.
-    pub fn row(&self, code_distance: u32) -> Option<&DistanceRow> {
-        if code_distance % 2 == 1 {
-            self.rows
-                .get((code_distance as usize).saturating_sub(1) / 2)
-        } else {
-            None
-        }
-    }
 }
 
 /// A realised logical qubit: the output of the error-correction step.
@@ -421,10 +411,7 @@ mod tests {
             );
             assert_eq!(row.physical_qubits, s.physical_qubits_per_logical(d).ok());
             assert_eq!(row.cycle_time_ns, s.logical_cycle_time_ns(&q, d).ok());
-            assert_eq!(table.row(d).map(|r| r.code_distance), Some(d));
         }
-        assert!(table.row(2).is_none(), "even distances have no row");
-        assert!(table.row(23).is_none(), "beyond the table's range");
     }
 
     #[test]

@@ -278,15 +278,6 @@ impl SearchStats {
     pub fn nodes_pruned(&self) -> u64 {
         self.nodes_pruned_bound + self.nodes_pruned_dominated
     }
-
-    /// Accumulate another search's counters into this one.
-    pub fn add(&mut self, other: &SearchStats) {
-        self.nodes_expanded += other.nodes_expanded;
-        self.nodes_pruned_bound += other.nodes_pruned_bound;
-        self.nodes_pruned_dominated += other.nodes_pruned_dominated;
-        self.memo_hits += other.memo_hits;
-        self.factories_realised += other.factories_realised;
-    }
 }
 
 /// Search configuration for T-factory pipelines.

@@ -260,20 +260,6 @@ impl Formula {
         })
     }
 
-    /// Construct directly from an expression tree (the source is the
-    /// canonical rendering).
-    pub fn from_expr(expr: Expr) -> Self {
-        Self {
-            source: expr.to_string(),
-            expr,
-        }
-    }
-
-    /// A formula that is a bare constant.
-    pub fn constant(value: f64) -> Self {
-        Self::from_expr(Expr::Number(value))
-    }
-
     /// The original source text.
     pub fn source(&self) -> &str {
         &self.source
@@ -407,7 +393,7 @@ mod tests {
 
     #[test]
     fn constant_formula() {
-        let f = Formula::constant(2.5);
+        let f = Formula::parse("2.5").unwrap();
         assert_eq!(f.eval(&Scope::new()).unwrap(), 2.5);
         assert_eq!(f.source(), "2.5");
         assert!(f.variables().is_empty());

@@ -2,8 +2,9 @@
 # Server-mode smoke test: pipe a small NDJSON job script — an estimate, a
 # sweep, a sharded sweep, and one malformed line — into `qre serve` and
 # assert the session's exit code, its record count, and that the malformed
-# line yielded an error record instead of a crash. Then exercise the
-# persistence and fan-in story: two `--cache-file` sessions (the second must
+# line yielded an error record instead of a crash; a non-UTF-8 line must
+# likewise yield an error record and leave the next job served. Then
+# exercise the persistence and fan-in story: two `--cache-file` sessions (the second must
 # run entirely from the first's snapshot, and a corrupted snapshot must warn
 # and start cold, never crash), and `qre merge` over two sharded sessions'
 # outputs (the merge must byte-equal the unsharded session's item records
@@ -83,6 +84,22 @@ grep -q 'ignoring cache snapshot' "$workdir/session3.err" \
 echo "$SWEEP_JOB" | "$QRE" serve --jobs 1 --cache-cap 1 > "$workdir/capped.ndjson"
 grep -q '"cacheMisses":6,"cacheEntries":1,"cacheEvictions":5' "$workdir/capped.ndjson" \
   || { cp "$workdir/capped.ndjson" "$out"; fail "capped session did not report its evictions"; }
+
+# --- Hostile input: a non-UTF-8 line ----------------------------------------
+
+# 0xFF never occurs in UTF-8. The line gets one error record under its
+# ordinal, and the valid job after it is still served (set -e: exit 0).
+printf '\xff\xfe bad\n%s\n' '{ "algorithm": { "logicalCounts": { "numQubits": 10, "tCount": 100 } } }' \
+  | "$QRE" serve --jobs 1 > "$workdir/hostile.ndjson"
+hostile=$(wc -l < "$workdir/hostile.ndjson")
+[ "$hostile" -eq 3 ] \
+  || { cp "$workdir/hostile.ndjson" "$out"; fail "expected 3 records after a non-UTF-8 line, got $hostile"; }
+grep -q '^{"job":1,"status":"error","message":"invalid job: line is not valid UTF-8' "$workdir/hostile.ndjson" \
+  || { cp "$workdir/hostile.ndjson" "$out"; fail "non-UTF-8 line 1 did not yield its error record"; }
+grep -q '^{"job":2,"status":"success"' "$workdir/hostile.ndjson" \
+  || { cp "$workdir/hostile.ndjson" "$out"; fail "job 2 after the non-UTF-8 line did not run"; }
+grep -q '^{"job":2,"stats":{"items":1,"errors":0' "$workdir/hostile.ndjson" \
+  || { cp "$workdir/hostile.ndjson" "$out"; fail "job 2 after the non-UTF-8 line has no stats record"; }
 
 # --- qre merge over sharded sessions ----------------------------------------
 
@@ -170,5 +187,6 @@ grep -q '0 design(s) loaded, 7 saved' "$workdir/net.err" \
 
 echo "serve_smoke: OK ($records records, 1 error record, warm-cache shard," \
      "persistent cache across sessions, capped-store evictions reported," \
+     "non-UTF-8 line answered with an error record," \
      "shard merge == unsharded sweep, socket round trip byte-compatible" \
      "with pipe mode and drained cleanly)"

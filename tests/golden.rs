@@ -16,7 +16,8 @@ use std::path::PathBuf;
 
 use qre::arith::{multiplication_counts, MulAlgorithm};
 use qre::estimator::{
-    EstimateRequest, EstimationResult, Estimator, HardwareProfile, QecSchemeKind,
+    EstimateRequest, EstimateRequestBuilder, EstimationResult, Estimator, HardwareProfile,
+    QecSchemeKind,
 };
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -104,6 +105,66 @@ fn windowed_2048_maj_ns_e4_floquet() {
     check_golden("windowed_2048_maj_ns_e4_floquet.json", &r);
 }
 
+/// The calibration point of [`windowed_2048_maj_ns_e4_floquet`] under one
+/// Section IV-C.4 constraint, which `constrain` sets on the request.
+fn calibration_point_under(
+    constrain: impl FnOnce(EstimateRequestBuilder) -> EstimateRequestBuilder,
+) -> qre::estimator::Result<EstimationResult> {
+    let builder = EstimateRequest::builder()
+        .counts(multiplication_counts(MulAlgorithm::Windowed, 2048))
+        .profile(HardwareProfile::qubit_maj_ns_e4())
+        .qec(QecSchemeKind::FloquetCode)
+        .total_error_budget(1e-4);
+    Estimator::new().estimate(&constrain(builder).build()?)
+}
+
+/// The logical-cycle slowdown: stretching the program 4× lets 4 factory
+/// copies keep up instead of 15, for fewer qubits and a longer runtime.
+#[test]
+fn windowed_2048_maj_ns_e4_floquet_depth_factor_4() {
+    let r = calibration_point_under(|b| b.logical_depth_factor(4.0)).unwrap();
+    assert_eq!(r.breakdown.num_t_factories, 4);
+    check_golden("windowed_2048_maj_ns_e4_floquet_depth_factor_4.json", &r);
+}
+
+/// The factory cap: 4 copies instead of 15, with the runtime stretched just
+/// enough for them to deliver every T state.
+#[test]
+fn windowed_2048_maj_ns_e4_floquet_max_factories_4() {
+    let r = calibration_point_under(|b| b.max_t_factories(4)).unwrap();
+    assert_eq!(r.breakdown.num_t_factories, 4);
+    check_golden("windowed_2048_maj_ns_e4_floquet_max_factories_4.json", &r);
+}
+
+/// The qubit cap: below the unconstrained 21,631,192 qubits, the estimator
+/// trades factory copies for runtime until the total fits.
+#[test]
+fn windowed_2048_maj_ns_e4_floquet_max_qubits_21_3m() {
+    let r = calibration_point_under(|b| b.max_physical_qubits(21_300_000)).unwrap();
+    assert!(r.physical_counts.physical_qubits <= 21_300_000);
+    check_golden("windowed_2048_maj_ns_e4_floquet_max_qubits_21_3m.json", &r);
+}
+
+/// The duration cap: runtime cannot shrink below the unconstrained 19.39 s,
+/// so a 15 s cap is a hard failure. The fixture pins the error object that
+/// `qre serve` and batch or sweep items report in place for it.
+#[test]
+fn windowed_2048_maj_ns_e4_floquet_max_duration_15s() {
+    use qre::estimator::Error;
+    use qre::json::ObjectBuilder;
+
+    let err = calibration_point_under(|b| b.max_duration_ns(15e9)).unwrap_err();
+    assert!(matches!(err, Error::ConstraintViolated(_)), "{err}");
+    let record = ObjectBuilder::new()
+        .field("status", "error")
+        .field("message", err.to_string())
+        .build();
+    check_golden_text(
+        "windowed_2048_maj_ns_e4_floquet_max_duration_15s.json",
+        record.to_string_pretty() + "\n",
+    );
+}
+
 /// The low end of Figure 3's distance staircase (distance 9 at 32 bits).
 #[test]
 fn windowed_32_maj_ns_e4_floquet() {
@@ -128,6 +189,34 @@ fn windowed_512_gate_ns_e3_surface() {
         1e-3,
     );
     check_golden("windowed_512_gate_ns_e3_surface.json", &r);
+}
+
+/// The Majorana surface code (`QecScheme::surface_code_majorana`) against
+/// the floquet code the paper pairs with Majorana hardware: at the same
+/// point its lower threshold forces a larger code distance.
+#[test]
+fn windowed_512_maj_ns_e4_surface() {
+    let surface = estimate(
+        MulAlgorithm::Windowed,
+        512,
+        HardwareProfile::qubit_maj_ns_e4(),
+        QecSchemeKind::SurfaceCode,
+        1e-4,
+    );
+    check_golden("windowed_512_maj_ns_e4_surface.json", &surface);
+    let floquet = estimate(
+        MulAlgorithm::Windowed,
+        512,
+        HardwareProfile::qubit_maj_ns_e4(),
+        QecSchemeKind::FloquetCode,
+        1e-4,
+    );
+    assert!(
+        surface.logical_qubit.code_distance > floquet.logical_qubit.code_distance,
+        "surface d={} vs floquet d={}",
+        surface.logical_qubit.code_distance,
+        floquet.logical_qubit.code_distance
+    );
 }
 
 /// Karatsuba at the paper's "needs the most physical qubits" comparison
@@ -248,6 +337,11 @@ fn fixture_directory_has_no_strays() {
         "karatsuba_256_maj_ns_e4_floquet.json",
         "frontier_searched_windowed_512_gate_ns_e3.json",
         "qpe_16_gate_ns_e4_surface.json",
+        "windowed_512_maj_ns_e4_surface.json",
+        "windowed_2048_maj_ns_e4_floquet_depth_factor_4.json",
+        "windowed_2048_maj_ns_e4_floquet_max_factories_4.json",
+        "windowed_2048_maj_ns_e4_floquet_max_qubits_21_3m.json",
+        "windowed_2048_maj_ns_e4_floquet_max_duration_15s.json",
     ];
     let mut found: Vec<String> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("failed to list {}: {e}", dir.display()))

@@ -1,7 +1,7 @@
 //! Integration tests for `qre serve` — the long-running NDJSON job server
 //! (driven in-process through `qre_cli::serve`).
 
-use qre_cli::{run_session, serve, ServeOptions, ServeShared, SessionConfig};
+use qre_cli::{run_session, serve, ServeOptions, ServeShared, SessionConfig, MAX_LINE_BYTES};
 use qre_json::Value;
 
 fn run_serve(script: &str, options: &ServeOptions) -> (qre_cli::ServeSummary, Vec<Value>) {
@@ -355,6 +355,45 @@ fn overflowing_sweep_line_errors_in_place_and_the_session_continues() {
     assert_eq!(next.len(), 2);
     assert_eq!(next[0].get("status").unwrap().as_str(), Some("success"));
     assert!(next[1].get("stats").is_some());
+}
+
+#[test]
+fn non_utf8_and_over_long_lines_error_in_place_and_the_session_continues() {
+    // A non-UTF-8 line, a line one byte over the cap, a line far over it
+    // (the reader must skip its tail, or the tail becomes a line of its
+    // own), then a valid job padded to exactly the cap. Each bad line gets
+    // one error record under its ordinal, and the job is served.
+    let mut script = b"\xff\xfe bad\n".to_vec();
+    for over in [1, 100_000] {
+        script.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES + over));
+        script.push(b'\n');
+    }
+    let mut job = ESTIMATE_LINE.as_bytes().to_vec();
+    job.resize(MAX_LINE_BYTES, b' ');
+    script.extend(job);
+    script.extend(b"\r\n");
+
+    let mut bytes: Vec<u8> = Vec::new();
+    let summary = serve(script.as_slice(), &mut bytes, &sequential())
+        .expect("bad lines do not end the session");
+    let lines: Vec<Value> = std::str::from_utf8(&bytes)
+        .unwrap()
+        .lines()
+        .map(|line| qre_json::parse(line).unwrap())
+        .collect();
+    assert_eq!(summary.jobs, 4);
+    assert_eq!(summary.job_errors, 3);
+    assert_eq!(summary.records, 5);
+    let problems = [(1, "UTF-8"), (2, "longer than"), (3, "longer than")];
+    for (record, (job, problem)) in lines.iter().zip(problems) {
+        assert_eq!(record.get("job").and_then(Value::as_u64), Some(job));
+        assert_eq!(record.get("status").unwrap().as_str(), Some("error"));
+        let message = record.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains(problem), "{message}");
+    }
+    assert_eq!(lines[3].get("job").and_then(Value::as_u64), Some(4));
+    assert_eq!(lines[3].get("status").unwrap().as_str(), Some("success"));
+    assert_eq!(lines[4].get_path("stats.items").unwrap().as_u64(), Some(1));
 }
 
 #[test]
