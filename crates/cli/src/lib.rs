@@ -57,15 +57,17 @@
 //! right shape for the paper's large Fig. 3/4-scale sweeps where waiting on
 //! the slowest item before printing anything wastes the session.
 //!
-//! Beyond one-shot submissions, [`serve`] runs a **long-lived job server**:
+//! Beyond one-shot submissions, [`serve()`] runs a **long-lived job server**:
 //! one JSON job per input line, completion-order NDJSON records out, a
 //! process-wide factory cache kept warm across jobs — optionally bounded
 //! ([`ServeOptions::cache_capacity`]) and persisted to a snapshot file
 //! between sessions ([`ServeOptions::cache_file`]) — and per-job `"shard"`
 //! fields so several server processes can split one sweep deterministically
-//! (see the [`serve`] module docs for the line protocol). The shard
-//! sessions' output files are re-joined by [`merge_files`] (the `qre merge`
-//! verb), which validates that the union covers the sweep exactly.
+//! ([`run_session`] documents the session engine behind the pipe and the
+//! socket; the README's "Server mode" and "Network serve" sections give the
+//! line protocol). The shard sessions' output files are re-joined by
+//! [`merge_files`] (the `qre merge` verb), which validates that the union
+//! covers the sweep exactly.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -430,8 +432,8 @@ fn write_submission_chunked(
             let total = spec.len();
             let head = [("status", "success"), ("estimateType", "sweep")];
             if spec.shard.is_some() {
-                // An already-sharded spec *is* the caller's bounded block
-                // (the serve fan-out path); run it as one chunk.
+                // A library caller that passes an already-sharded spec has
+                // bounded the block itself; run it as one chunk.
                 let outcomes = engine.sweep(spec).map_err(|e| e.to_string())?;
                 let mut doc = ItemsDocWriter::open(out, compact, &head, total)?;
                 for o in &outcomes {

@@ -2,14 +2,13 @@
 //!
 //! This module is the **session engine** behind both transports of `qre
 //! serve`: the single-client stdin/stdout pipe ([`serve`]) and the
-//! multi-client TCP listener (`qre serve --listen`, wired through
-//! [`crate::NetSession`] over the `qre-net` crate). Both run the same loop —
-//! [`run_session`] — over one process-wide [`ServeShared`] state, mirroring
-//! the cloud submission loop of paper Section IV-A as a persistent local
-//! service: the shared factory-design store stays alive across jobs *and
-//! across clients*, so a sweep re-run (or a related scenario submitted by a
-//! different connection) hits the warm cache instead of repeating the
-//! distillation-pipeline search.
+//! multi-client TCP listener (`qre serve --listen`, [`crate::listen_serve`]).
+//! Both run the same loop — [`run_session`] — over one process-wide
+//! [`ServeShared`] state, mirroring the cloud submission loop of paper
+//! Section IV-A as a persistent local service: the shared factory-design
+//! store stays alive across jobs *and across clients*, so a sweep re-run (or
+//! a related scenario submitted by a different connection) hits the warm
+//! cache instead of repeating the distillation-pipeline search.
 //!
 //! ## Input protocol
 //!

@@ -9,7 +9,7 @@
 //!
 //! 1. **Pre-layout counts** arrive as [`qre_circuit::LogicalCounts`] (from
 //!    the circuit tracer, the QIR front end, or direct user input).
-//! 2. **Layout** ([`layout`]): planar-ISA qubit overhead, algorithmic depth,
+//! 2. **Layout** ([`layout()`]): planar-ISA qubit overhead, algorithmic depth,
 //!    and T-state demand (Section III-B).
 //! 3. **Error correction** ([`QecScheme`]): code-distance selection from the
 //!    failure model `a·(p/p*)^((d+1)/2)` (Section III-C).

@@ -8,7 +8,7 @@
 //! The crate provides:
 //!
 //! * [`Value`] — an owned JSON document model with ergonomic accessors,
-//! * [`parse`] — a strict recursive-descent parser with precise error positions,
+//! * [`parse()`] — a strict recursive-descent parser with precise error positions,
 //! * [`Value::to_string_pretty`] / [`Value::to_string_compact`] — deterministic
 //!   printers whose number formatting round-trips `f64` exactly,
 //! * [`ObjectBuilder`] — an order-preserving object builder, so emitted result

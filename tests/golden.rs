@@ -322,6 +322,23 @@ fn frontier_searched_windowed_512_gate_ns_e3() {
     assert_eq!(best(&points), (5_037_650, 2_828_112_000.0));
 }
 
+/// The whole Figure 3 study as one table: the three multipliers at the ten
+/// sizes from 32 to 16,384 bits on qubit_maj_ns_e4 with the floquet code
+/// at 1e-4 (30 rows).
+#[test]
+fn fig3_table() {
+    check_golden_text("fig3.csv", qre_bench::to_csv(&qre_bench::fig3_series()));
+}
+
+/// The whole Figure 4 study as one table: the three multipliers at 2,048
+/// bits on all six default profiles, each with its default QEC scheme
+/// (18 rows). The only fixture that covers the two µs ion-trap profiles
+/// and qubit_maj_ns_e6.
+#[test]
+fn fig4_table() {
+    check_golden_text("fig4.csv", qre_bench::to_csv(&qre_bench::fig4_series()));
+}
+
 /// The fixtures themselves must stay in sync with this test file: every
 /// fixture present is produced by exactly one test above.
 #[test]
@@ -342,6 +359,8 @@ fn fixture_directory_has_no_strays() {
         "windowed_2048_maj_ns_e4_floquet_max_factories_4.json",
         "windowed_2048_maj_ns_e4_floquet_max_qubits_21_3m.json",
         "windowed_2048_maj_ns_e4_floquet_max_duration_15s.json",
+        "fig3.csv",
+        "fig4.csv",
     ];
     let mut found: Vec<String> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("failed to list {}: {e}", dir.display()))

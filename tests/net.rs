@@ -149,6 +149,40 @@ fn surplus_connections_get_a_busy_bye_and_close() {
 }
 
 #[test]
+fn a_finished_session_frees_its_connection_slot() {
+    let server = NetServer::start(&net_options(), 1);
+    let mut first = Client::connect(server.addr);
+    first.expect_hello();
+    drop(first);
+
+    // The slot frees once the first session has noticed the hang-up and
+    // ended, which the accept loop learns asynchronously: until then each
+    // new client gets a busy bye.
+    let mut busy = 0;
+    let mut second = loop {
+        let mut client = Client::connect(server.addr);
+        let record = client.expect_record();
+        if record.get("hello").is_some() {
+            break client;
+        }
+        assert_eq!(
+            record.get_path("bye.busy").and_then(Value::as_bool),
+            Some(true),
+            "{}",
+            record.to_string_compact()
+        );
+        busy += 1;
+        assert!(busy < 1000, "the first session never freed its slot");
+    };
+
+    second.send(r#"{"control": "shutdown"}"#);
+    second.read_to_eof();
+    let summary = server.join();
+    assert_eq!(summary.connections, 2);
+    assert_eq!(summary.rejected, busy);
+}
+
+#[test]
 fn drain_mid_sweep_loses_no_in_flight_records() {
     let server = NetServer::start(&net_options(), 32);
 
@@ -335,7 +369,7 @@ fn sharded_sweep_over_two_connections_merges_to_the_unsharded_sweep() {
     }
     for (index, records) in captures.iter().enumerate() {
         let path = std::env::temp_dir().join(format!(
-            "qre-net-shard-{}-{:?}-{index}.ndjson",
+            "qre-listen-shard-{}-{:?}-{index}.ndjson",
             std::process::id(),
             std::thread::current().id()
         ));
