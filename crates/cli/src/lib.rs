@@ -62,12 +62,13 @@
 //! process-wide factory cache kept warm across jobs — optionally bounded
 //! ([`ServeOptions::cache_capacity`]) and persisted to a snapshot file
 //! between sessions ([`ServeOptions::cache_file`]) — and per-job `"shard"`
-//! fields so several server processes can split one sweep deterministically
-//! ([`run_session`] documents the session engine behind the pipe and the
-//! socket; the README's "Server mode" and "Network serve" sections give the
-//! line protocol). The shard sessions' output files are re-joined by
-//! [`merge_files`] (the `qre merge` verb), which validates that the union
-//! covers the sweep exactly.
+//! fields so several server processes can split one sweep deterministically.
+//! [`run_session`] documents the line protocol — the input fields, the
+//! control commands, and the item, stats, error and lifecycle records — and
+//! the session engine behind the pipe and the socket; the README's "Server
+//! mode" and "Network serve" sections walk through it. The shard sessions'
+//! output files are re-joined by [`merge_files`] (the `qre merge` verb),
+//! which validates that the union covers the sweep exactly.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -85,16 +86,17 @@ pub use serve::{
 pub use stress::{stress_job_line, stress_spec, write_stress_jobs, StressShape, StressSummary};
 
 use std::io::Write;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use qre_arith::MulAlgorithm;
 use qre_circuit::{qir, LogicalCounts};
 use qre_core::{
-    Constraints, ErrorBudget, EstimateRequest, Estimator, FrontierPoint, PartitionSearch,
-    PhysicalQubit, QecSchemeKind, SweepScheme, SweepSpec,
+    Constraints, ErrorBudget, EstimateRequest, EstimationResult, Estimator, FrontierPoint,
+    PartitionSearch, PhysicalQubit, QecSchemeKind, SweepOutcome, SweepScheme, SweepSpec,
 };
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Emitter, ObjectBuilder, Value};
 
 /// Parsed job specification.
 #[derive(Debug)]
@@ -201,10 +203,10 @@ pub fn parse_submission_value(doc: &Value) -> Result<Submission, String> {
 }
 
 /// Render one finished sweep item — its axis coordinates plus the result or
-/// in-place error — as a JSON object. Shared by the collecting, streamed,
-/// and serve output paths, so a streamed record is field-for-field identical
-/// to the matching entry of the monolithic document.
-pub(crate) fn sweep_item_json(o: &qre_core::SweepOutcome) -> Value {
+/// in-place error — as a JSON object: an entry of the monolithic sweep
+/// document. The streamed and serve records are its bytes, written by
+/// [`emit_sweep_item`].
+pub(crate) fn sweep_item_json(o: &SweepOutcome) -> Value {
     let c = &o.point.constraints;
     let constraints = ObjectBuilder::new()
         .field_opt("logicalDepthFactor", c.logical_depth_factor)
@@ -228,6 +230,32 @@ pub(crate) fn sweep_item_json(o: &qre_core::SweepOutcome) -> Value {
             .field("status", "error")
             .field("message", e.to_string())
             .build(),
+    }
+}
+
+/// Emit the fields of [`sweep_item_json`]'s object, in its order, into an
+/// object the caller has opened.
+fn emit_sweep_item(w: &mut Emitter<'_>, o: &SweepOutcome) {
+    let (p, c) = (&o.point, &o.point.constraints);
+    w.field("index", p.index)
+        .field("workload", p.workload.as_str())
+        .field("profile", p.profile.as_str())
+        .field("qecScheme", p.scheme.as_str())
+        .field("errorBudget", p.budget.total())
+        .key("constraints")
+        .object(|w| {
+            w.field_opt("logicalDepthFactor", c.logical_depth_factor)
+                .field_opt("maxTFactories", c.max_t_factories)
+                .field_opt("maxDurationNs", c.max_duration_ns)
+                .field_opt("maxPhysicalQubits", c.max_physical_qubits);
+        });
+    match &o.outcome {
+        Ok(result) => {
+            w.field("status", "success")
+                .key("result")
+                .object(|w| result.emit_fields(w));
+        }
+        Err(e) => emit_error(w, &e.to_string()),
     }
 }
 
@@ -476,10 +504,12 @@ fn write_submission_chunked(
 /// sessions over a pipe or a socket, one-shot `"stream": true` output, and
 /// the busy-rejection `bye`.
 ///
-/// A record is rendered on the thread that produced it, into one buffer
-/// with its newline, and handed to the output in one `write_all` followed
-/// by one `flush`, so each finished item reaches the consumer at once and
-/// as one piece. Threads share the writer by reference: the output sits
+/// Each record reaches the writer as one line with its newline: item
+/// records already rendered ([`execute`] renders each on the worker that
+/// estimated it), the others as a [`Value`] rendered on the writing thread.
+/// The line goes to the output in one `write_all` followed by one `flush`,
+/// so each finished item reaches the consumer at once and as one piece.
+/// Threads share the writer by reference: the output sits
 /// behind one lock, and a consumer that stops reading blocks the producer
 /// holding it, which is the whole of the backpressure. The first write
 /// error is kept; later records are dropped, and [`RecordWriter::failed`]
@@ -507,13 +537,20 @@ impl<W: Write> RecordWriter<W> {
         }
     }
 
-    /// Write `record` as one line; `false` once any write has failed.
+    /// Render `record` and write it as one line; `false` once any write
+    /// has failed.
     pub(crate) fn write(&self, record: &Value) -> bool {
+        let mut line = record.to_string_compact();
+        line.push('\n');
+        self.write_line(&line)
+    }
+
+    /// Write one rendered record, its newline included; `false` once any
+    /// write has failed.
+    pub(crate) fn write_line(&self, line: &str) -> bool {
         if self.failed() {
             return false;
         }
-        let mut line = record.to_string_compact();
-        line.push('\n');
         let mut output = self.output.lock().expect("record writer lock");
         let RecordOutput {
             out,
@@ -557,17 +594,24 @@ impl<W: Write> RecordWriter<W> {
     }
 }
 
-/// Where [`execute`] hands a submission's records: a serve job wraps each
-/// in its job envelope and tallies its `"stats"` record, the one-shot
+/// Where [`execute`] hands a submission's records: a serve job opens each
+/// with its job envelope and tallies its `"stats"` record, the one-shot
 /// stream interleaves progress records.
 pub(crate) trait ItemSink {
+    /// The opening of every item record: `{`, or `{` plus fields of the
+    /// sink's own and a trailing comma (a serve job's `{"job":<id>,`).
+    fn head(&self) -> &str {
+        "{"
+    }
+
     /// `total` item records follow; called once, before the first.
     fn total(&mut self, _total: usize) {}
 
-    /// Deliver one item record; `failed` marks an item that failed in
-    /// place. `false` once the consumer is gone: execution stops claiming
-    /// items.
-    fn item(&mut self, record: Value, failed: bool) -> bool;
+    /// Deliver one item record, rendered as one line behind
+    /// [`ItemSink::head`] with its newline; `failed` marks an item that
+    /// failed in place. `false` once the consumer is gone: execution stops
+    /// claiming items.
+    fn item(&mut self, line: &str, failed: bool) -> bool;
 
     /// A single job failed. The one-shot CLI fails the submission (`Err`);
     /// a serve session reports the failure in place and keeps serving.
@@ -583,15 +627,32 @@ pub(crate) fn error_object(message: String) -> Value {
         .build()
 }
 
-/// Concatenate two JSON objects' fields (`head`'s first); a non-object
-/// `tail` passes through unchanged.
-pub(crate) fn merge_objects(head: Value, tail: Value) -> Value {
-    match (head, tail) {
-        (Value::Object(mut pairs), Value::Object(tail)) => {
-            pairs.extend(tail);
-            Value::Object(pairs)
-        }
-        (_, v) => v,
+/// Emit [`error_object`]'s fields into an object the caller has opened.
+pub(crate) fn emit_error(w: &mut Emitter<'_>, message: &str) {
+    w.field("status", "error").field("message", message);
+}
+
+/// Room reserved for one item record's line: a success record is ≈ 3 KB.
+const RECORD_CAPACITY: usize = 4096;
+
+/// One item record as one NDJSON line: `head` opens it ([`ItemSink::head`]),
+/// `fields` emits the rest of its fields, and the closing brace and the
+/// newline end it. The line is the only allocation rendering a success
+/// record costs.
+pub(crate) fn record_line(head: &str, fields: impl FnOnce(&mut Emitter<'_>)) -> String {
+    let mut line = String::with_capacity(RECORD_CAPACITY);
+    line.push_str(head);
+    fields(&mut Emitter::new(&mut line));
+    line.push_str("}\n");
+    line
+}
+
+/// Hand one rendered record to `sink`; `Break` once its consumer is gone.
+fn deliver(sink: &mut impl ItemSink, line: &str, failed: bool) -> ControlFlow<()> {
+    if sink.item(line, failed) {
+        ControlFlow::Continue(())
+    } else {
+        ControlFlow::Break(())
     }
 }
 
@@ -604,12 +665,18 @@ pub(crate) fn merge_objects(head: Value, tail: Value) -> Value {
 /// `Err` fails the whole submission: a sweep that does not expand, or a
 /// failed single job the sink passes on. When the sink reports a dead
 /// consumer, execution stops after the in-flight items.
+///
+/// Records are rendered straight to their bytes, with no [`Value`] on the
+/// way: batch and sweep records on the worker that ran the item, single
+/// and frontier records on the calling thread.
 pub(crate) fn execute(
     engine: &Estimator,
     kind: &SubmissionKind,
     stream: bool,
     sink: &mut impl ItemSink,
 ) -> Result<(), String> {
+    let head = sink.head().to_owned();
+    let head = head.as_str();
     match kind {
         SubmissionKind::Single(spec) if stream && spec.frontier => {
             let points = match run_frontier_points(engine, spec) {
@@ -618,15 +685,19 @@ pub(crate) fn execute(
             };
             sink.total(points.len());
             for (i, p) in points.iter().enumerate() {
-                if !sink.item(frontier_point_json(i, p), false) {
+                let line = record_line(head, |w| {
+                    w.field("index", i);
+                    emit_frontier_point(w, p);
+                });
+                if !sink.item(&line, false) {
                     break;
                 }
             }
         }
-        SubmissionKind::Single(spec) => match run_job(engine, spec) {
-            Ok(value) => {
+        SubmissionKind::Single(spec) => match JobOutput::run(engine, spec) {
+            Ok(job) => {
                 sink.total(1);
-                sink.item(value, false);
+                sink.item(&record_line(head, |w| job.emit_fields(w)), false);
             }
             Err(e) => return sink.single_failed(e),
         },
@@ -634,29 +705,31 @@ pub(crate) fn execute(
             sink.total(jobs.len());
             qre_par::parallel_map_streamed_until(
                 jobs,
-                |_, spec| run_job(engine, spec),
-                |index, outcome| {
-                    let failed = outcome.is_err();
-                    let index = ObjectBuilder::new().field("index", index as u64).build();
-                    let record = merge_objects(index, outcome.unwrap_or_else(error_object));
-                    if sink.item(record, failed) {
-                        std::ops::ControlFlow::Continue(())
-                    } else {
-                        std::ops::ControlFlow::Break(())
-                    }
+                |index, spec| {
+                    let job = JobOutput::run(engine, spec);
+                    let line = record_line(head, |w| {
+                        w.field("index", index);
+                        match &job {
+                            Ok(job) => job.emit_fields(w),
+                            Err(e) => emit_error(w, e),
+                        }
+                    });
+                    (line, job.is_err())
                 },
+                |_, (line, failed)| deliver(sink, &line, failed),
             );
         }
         SubmissionKind::Sweep(spec) => {
             sink.total(spec.len());
             engine
-                .sweep_until(spec, |o| {
-                    if sink.item(sweep_item_json(&o), o.outcome.is_err()) {
-                        std::ops::ControlFlow::Continue(())
-                    } else {
-                        std::ops::ControlFlow::Break(())
-                    }
-                })
+                .sweep_until(
+                    spec,
+                    |o| {
+                        let line = record_line(head, |w| emit_sweep_item(w, &o));
+                        (line, o.outcome.is_err())
+                    },
+                    |(line, failed)| deliver(sink, &line, failed),
+                )
                 .map_err(|e| e.to_string())?;
         }
     }
@@ -687,8 +760,8 @@ impl ItemSink for NdjsonSink<'_> {
         self.total = total;
     }
 
-    fn item(&mut self, record: Value, _failed: bool) -> bool {
-        self.writer.write(&record);
+    fn item(&mut self, line: &str, _failed: bool) -> bool {
+        self.writer.write_line(line);
         self.done += 1;
         // ~10 progress records per run, at least one per item batch.
         if self.done.is_multiple_of((self.total / 10).max(1)) && self.done != self.total {
@@ -1117,27 +1190,81 @@ fn parse_qec(v: Option<&Value>) -> Result<QecSchemeKind, String> {
 /// Run a job specification through `engine`, producing the result JSON (a
 /// single result object, or a frontier array).
 pub fn run_job(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
-    if spec.frontier {
-        let points = run_frontier_points(engine, spec)?;
-        let items: Vec<Value> = points
-            .iter()
-            .map(|p| {
-                ObjectBuilder::new()
-                    .field("maxTFactories", p.max_t_factories)
-                    .field("errorBudget", p.budget.to_json())
-                    .field("result", p.result.to_json())
-                    .build()
+    JobOutput::run(engine, spec).map(|job| job.to_json())
+}
+
+/// What one job produced: an estimate, or a frontier job's Pareto points.
+enum JobOutput {
+    Estimate(Box<EstimationResult>),
+    Frontier {
+        points: Vec<FrontierPoint>,
+        search_partition: bool,
+    },
+}
+
+impl JobOutput {
+    fn run(engine: &Estimator, spec: &JobSpec) -> Result<Self, String> {
+        if spec.frontier {
+            Ok(JobOutput::Frontier {
+                points: run_frontier_points(engine, spec)?,
+                search_partition: spec.search_partition,
             })
-            .collect();
-        Ok(ObjectBuilder::new()
-            .field("status", "success")
-            .field("estimateType", "frontier")
-            .field("searchBudgetPartition", spec.search_partition)
-            .field("frontier", Value::Array(items))
-            .build())
-    } else {
-        let result = engine.estimate(&spec.request).map_err(|e| e.to_string())?;
-        Ok(result.to_json())
+        } else {
+            engine
+                .estimate(&spec.request)
+                .map(|result| JobOutput::Estimate(Box::new(result)))
+                .map_err(|e| e.to_string())
+        }
+    }
+
+    /// The job's document: the result object, or the frontier document.
+    fn to_json(&self) -> Value {
+        match self {
+            JobOutput::Estimate(result) => result.to_json(),
+            JobOutput::Frontier {
+                points,
+                search_partition,
+            } => {
+                let items: Vec<Value> = points
+                    .iter()
+                    .map(|p| {
+                        ObjectBuilder::new()
+                            .field("maxTFactories", p.max_t_factories)
+                            .field("errorBudget", p.budget.to_json())
+                            .field("result", p.result.to_json())
+                            .build()
+                    })
+                    .collect();
+                ObjectBuilder::new()
+                    .field("status", "success")
+                    .field("estimateType", "frontier")
+                    .field("searchBudgetPartition", *search_partition)
+                    .field("frontier", Value::Array(items))
+                    .build()
+            }
+        }
+    }
+
+    /// Emit the fields of [`JobOutput::to_json`]'s object, in its order,
+    /// into an object the caller has opened.
+    fn emit_fields(&self, w: &mut Emitter<'_>) {
+        match self {
+            JobOutput::Estimate(result) => result.emit_fields(w),
+            JobOutput::Frontier {
+                points,
+                search_partition,
+            } => {
+                w.field("status", "success")
+                    .field("estimateType", "frontier")
+                    .field("searchBudgetPartition", *search_partition)
+                    .key("frontier")
+                    .begin_array();
+                for p in points {
+                    w.object(|w| emit_frontier_point(w, p));
+                }
+                w.end_array();
+            }
+        }
     }
 }
 
@@ -1156,15 +1283,15 @@ pub(crate) fn run_frontier_points(
     points.map_err(|e| e.to_string())
 }
 
-/// One streamed frontier-point record: the monolithic document's entry
-/// fields plus the point's `index` along the frontier.
-pub(crate) fn frontier_point_json(index: usize, p: &FrontierPoint) -> Value {
-    ObjectBuilder::new()
-        .field("index", index as u64)
-        .field("maxTFactories", p.max_t_factories)
-        .field("errorBudget", p.budget.to_json())
-        .field("result", p.result.to_json())
-        .build()
+/// Emit the fields of one frontier document entry: the point's factory
+/// cap, its budget partition and its result. A streamed frontier record is
+/// these behind the point's `index` along the frontier.
+fn emit_frontier_point(w: &mut Emitter<'_>, p: &FrontierPoint) {
+    w.field("maxTFactories", p.max_t_factories)
+        .key("errorBudget")
+        .object(|w| p.budget.emit_fields(w))
+        .key("result")
+        .object(|w| p.result.emit_fields(w));
 }
 
 /// Run a job through `engine` and return the human-readable report
@@ -1706,14 +1833,41 @@ mod tests {
 
     #[test]
     fn streamed_sweep_emits_ndjson_equal_to_collecting_run() {
+        // Two workloads (one with rotations, one T-free), three profiles,
+        // both a default and a forced scheme, two budgets and three
+        // constraint sets: factory and factory-free results, bound
+        // constraints, and failing items (an impossible budget, a qubit
+        // cap no design meets, a gate-based profile under the Floquet
+        // code).
         let sweep = r#"{ "stream": true, "sweep": {
-            "algorithms": [ { "logicalCounts": { "numQubits": 20, "tCount": 2000 } } ],
-            "errorBudgets": [ 1e-4 ]
+            "algorithms": [
+                { "logicalCounts": { "numQubits": 20, "tCount": 2000,
+                                     "rotationCount": 30, "rotationDepth": 10 } },
+                { "logicalCounts": { "numQubits": 12, "measurementCount": 40 } }
+            ],
+            "qubitParams": [ { "name": "qubit_gate_ns_e3" }, { "name": "qubit_maj_ns_e4" } ],
+            "qecSchemes": [ { "name": "default" }, { "name": "floquet_code" } ],
+            "errorBudgets": [ 1e-4, 1e-60 ],
+            "constraints": [ {}, { "maxTFactories": 2, "logicalDepthFactor": 1.5 },
+                             { "maxPhysicalQubits": 1000, "maxDurationNs": 5e8 } ]
         } }"#;
-        let submission = parse_submission(sweep).unwrap();
+        let mut submission = parse_submission(sweep).unwrap();
         assert!(submission.stream);
+        // A custom profile whose name needs escaping (a quote, a
+        // backslash, a control character and non-ASCII text).
+        let SubmissionKind::Sweep(spec) = &mut submission.kind else {
+            panic!("a sweep submission");
+        };
+        spec.profiles.push(PhysicalQubit {
+            name: "lab \"7\" \\ q\u{1}\tb\u{e9}ta \u{1f600}".into(),
+            ..PhysicalQubit::qubit_maj_ns_e4()
+        });
+        let total = spec.len();
+        assert_eq!(total, 2 * 3 * 2 * 2 * 3);
         let mut bytes = Vec::new();
         run_submission_streamed(&Estimator::new(), &submission, &mut bytes).unwrap();
+        let text = std::str::from_utf8(&bytes).unwrap();
+        assert!(text.contains(r#""profile":"lab \"7\" \\ q\u0001\tbéta 😀","#));
         let lines = parse_ndjson_lines(&bytes);
 
         let records: Vec<&Value> = lines.iter().filter(|v| v.get("index").is_some()).collect();
@@ -1721,21 +1875,36 @@ mod tests {
             .iter()
             .filter(|v| v.get("progress").is_some())
             .collect();
-        assert_eq!(records.len(), 6, "one record per sweep item");
+        assert_eq!(records.len(), total, "one record per sweep item");
         assert!(!progress.is_empty(), "progress records interleave");
+        let status = |s: &str| {
+            records
+                .iter()
+                .filter(|r| r.get("status").and_then(Value::as_str) == Some(s))
+                .count()
+        };
+        assert!(status("success") > 0 && status("error") > 0, "both kinds");
         // The final line is the completed progress record.
         let last = lines.last().unwrap();
-        assert_eq!(last.get("progress").unwrap().as_u64(), Some(6));
-        assert_eq!(last.get("total").unwrap().as_u64(), Some(6));
+        assert_eq!(last.get("progress").unwrap().as_u64(), Some(total as u64));
+        assert_eq!(last.get("total").unwrap().as_u64(), Some(total as u64));
 
-        // Streamed records are field-for-field the collecting document's
+        // Streamed records are byte-for-byte the collecting document's
         // items, matched up by index.
         let collected = run_submission(&Estimator::new(), &submission).unwrap();
         let items = collected.get("items").unwrap().as_array().unwrap();
-        for record in records {
-            let index = record.get("index").unwrap().as_u64().unwrap() as usize;
+        let by_index: std::collections::BTreeMap<usize, &str> = text
+            .lines()
+            .filter(|line| line.starts_with("{\"index\":"))
+            .map(|line| {
+                let index = line[9..line.find(',').unwrap()].parse().unwrap();
+                (index, line)
+            })
+            .collect();
+        assert_eq!(by_index.len(), total);
+        for (index, line) in by_index {
             assert_eq!(
-                record.to_string_compact(),
+                line,
                 items[index].to_string_compact(),
                 "record {index} diverges from the collecting API"
             );

@@ -10,58 +10,8 @@
 //! a related scenario submitted by a different connection) hits the warm
 //! cache instead of repeating the distillation-pipeline search.
 //!
-//! ## Input protocol
-//!
-//! Each non-blank line is a JSON object in any of the one-shot CLI's
-//! submission forms (a single job, `{"items": [...]}`, `{"sweep": {...}}`),
-//! plus serve-level fields:
-//!
-//! * `"id"` — string or number echoed into every record the job produces
-//!   (default: the job's 1-based arrival ordinal within its session),
-//! * `"shard": {"index": i, "count": n}` — restrict a `"sweep"` job to
-//!   shard `i` of `n` of its row-major expansion, so `n` server processes
-//!   (or `n` connections of one server) fed the same sweep line
-//!   deterministically partition it; records keep their *global* sweep
-//!   indices, making the shard union item-for-item identical to the
-//!   unsharded sweep.
-//!
-//! A line may instead be a **control command**: `{"control": "shutdown"}`
-//! (optionally with an `"id"`) acknowledges with `{"job": .., "control":
-//! "shutdown", "status": "ok"}` and starts a graceful drain — no session
-//! reads further jobs, in-flight jobs finish and deliver every record, the
-//! snapshot (if configured) is saved once, and the service exits.
-//!
-//! A top-level `"stream"` flag is accepted and, for most payloads, ignored:
-//! serve output is always NDJSON. The one payload it changes is a frontier
-//! job, which then emits one record per Pareto point (the one-shot CLI's
-//! streamed frontier records, job-enveloped) instead of one monolithic
-//! frontier document.
-//!
-//! ## Output protocol
-//!
-//! Every job record is one JSON object whose first field is `"job"` (the
-//! id):
-//!
-//! * item records — field-for-field the records `"stream": true` emits in
-//!   the one-shot CLI (single-job result objects, indexed batch items,
-//!   sweep items with axis coordinates), in completion order,
-//! * one final `{"job": .., "stats": {...}}` record per job with the item
-//!   count, in-place error count, this job's exact factory-cache hit/miss
-//!   counters (scoped to the job even while jobs run concurrently), and the
-//!   process-wide design-store size and eviction count,
-//! * `{"job": .., "status": "error", "message": ..}` for a line that fails
-//!   to parse or validate — the session continues; malformed input never
-//!   kills the server. A line that is not valid UTF-8, or longer than
-//!   [`MAX_LINE_BYTES`] (16 MiB before its newline), gets such a record too.
-//!   The reader skips the rest of an over-long line without buffering it
-//!   and resumes at the next newline.
-//!
-//! Network sessions ([`SessionConfig::lifecycle`]) additionally frame the
-//! job records with **lifecycle records**: a `{"hello": {...}}` first line
-//! naming the session id, peer address, protocol, and the current design
-//! store size (a warm connect shows a non-zero `designs`), and a
-//! `{"bye": {...}}` last line carrying the session summary (jobs, job
-//! errors, records, whether the session ended in a drain).
+//! [`run_session`] documents the line protocol: the input fields, the
+//! control commands, and the item, stats, error and lifecycle records.
 //!
 //! ## Admission control and backpressure
 //!
@@ -117,7 +67,7 @@ use std::sync::Arc;
 use qre_core::{Estimator, FactoryCache, Shard};
 use qre_json::{ObjectBuilder, Value};
 
-use crate::{error_object, merge_objects, ItemSink, RecordWriter, SubmissionKind};
+use crate::{emit_error, error_object, record_line, ItemSink, RecordWriter, SubmissionKind};
 
 /// Longest job line a session reads, in bytes before its newline: ample for
 /// any real job (the 100,044-point stress job line is 173,417 bytes), and a
@@ -347,12 +297,66 @@ pub struct SessionConfig {
 /// `shared`'s design store (each job counts its own cache hits and misses
 /// exactly through a scoped view), its global job gate, and its drain
 /// switch; admission and persistence follow [`ServeOptions`]. The session
-/// spawns only its job threads: each job renders and writes its own
-/// records, and the reader writes the lifecycle and control records, all
-/// through one lock around `output`. Returns `Err` only for transport
+/// spawns only its job threads: each job writes its own records (a sweep or
+/// batch record is rendered on the worker that estimated its item), and the
+/// reader writes the lifecycle and control records, all through one lock
+/// around `output`. Returns `Err` only for transport
 /// failures — an unreadable input or an output that stops accepting
 /// writes; malformed job lines, non-UTF-8 ones and ones longer than
 /// [`MAX_LINE_BYTES`] produce error records and the session continues.
+///
+/// # Input protocol
+///
+/// Each non-blank line is a JSON object in any of the one-shot CLI's
+/// submission forms (a single job, `{"items": [...]}`, `{"sweep": {...}}`),
+/// plus serve-level fields:
+///
+/// * `"id"` — string or number echoed into every record the job produces
+///   (default: the job's 1-based arrival ordinal within its session),
+/// * `"shard": {"index": i, "count": n}` — restrict a `"sweep"` job to
+///   shard `i` of `n` of its row-major expansion, so `n` server processes
+///   (or `n` connections of one server) fed the same sweep line
+///   deterministically partition it; records keep their *global* sweep
+///   indices, making the shard union item-for-item identical to the
+///   unsharded sweep.
+///
+/// A line may instead be a **control command**: `{"control": "shutdown"}`
+/// (optionally with an `"id"`) acknowledges with `{"job": .., "control":
+/// "shutdown", "status": "ok"}` and starts a graceful drain — no session
+/// reads further jobs, in-flight jobs finish and deliver every record, the
+/// snapshot (if configured) is saved once, and the service exits.
+///
+/// A top-level `"stream"` flag is accepted and, for most payloads, ignored:
+/// serve output is always NDJSON. The one payload it changes is a frontier
+/// job, which then emits one record per Pareto point (the one-shot CLI's
+/// streamed frontier records, job-enveloped) instead of one monolithic
+/// frontier document.
+///
+/// # Output protocol
+///
+/// Every job record is one JSON object whose first field is `"job"` (the
+/// id):
+///
+/// * item records — field-for-field the records `"stream": true` emits in
+///   the one-shot CLI (single-job result objects, indexed batch items,
+///   sweep items with axis coordinates), in completion order,
+/// * one final `{"job": .., "stats": {...}}` record per job with the item
+///   count, in-place error count, this job's exact factory-cache hit/miss
+///   counters (scoped to the job even while jobs run concurrently), and the
+///   process-wide design-store size and eviction count,
+/// * `{"job": .., "status": "error", "message": ..}` for a line that fails
+///   to parse or validate — the session continues; malformed input never
+///   kills the server. A line that is not valid UTF-8, or longer than
+///   [`MAX_LINE_BYTES`] (16 MiB before its newline), gets such a record too.
+///   The reader skips the rest of an over-long line without buffering it
+///   and resumes at the next newline.
+///
+/// Network sessions ([`SessionConfig::lifecycle`]) additionally frame the
+/// job records with **lifecycle records**: a `{"hello": {...}}` first line
+/// naming the session id, peer address, protocol, and the current design
+/// store size (a warm connect shows a non-zero `designs`), and a
+/// `{"bye": {...}}` last line carrying the session summary (jobs, job
+/// errors, records, whether the session ended in a drain).
 pub fn run_session<R, W>(
     shared: &ServeShared,
     config: &SessionConfig,
@@ -544,7 +548,11 @@ fn save_store(store: &FactoryCache, path: &Path) -> usize {
 
 /// Emit `{"job": id, ...tail}` — every serve record leads with its job id.
 fn job_record(id: &Value, tail: Value) -> Value {
-    merge_objects(ObjectBuilder::new().field("job", id.clone()).build(), tail)
+    let mut record = vec![("job".to_owned(), id.clone())];
+    if let Value::Object(fields) = tail {
+        record.extend(fields);
+    }
+    Value::Object(record)
 }
 
 fn error_record(id: &Value, message: String) -> Value {
@@ -725,6 +733,7 @@ fn run_serve_job<W: Write>(
     let engine = Estimator::with_cache(Arc::new(shared.store().scoped()));
     let mut sink = JobSink {
         id: &id,
+        head: format!("{{\"job\":{},", id.to_string_compact()),
         writer,
         items: 0,
         errors: 0,
@@ -760,22 +769,30 @@ fn shard_kind(kind: SubmissionKind, shard: Option<Shard>) -> Result<SubmissionKi
 /// to the session's output, tallied for the job's `"stats"` record.
 struct JobSink<'a, W> {
     id: &'a Value,
+    /// `{"job":<id>,`, the opening of each of the job's item records:
+    /// [`job_record`]'s envelope, rendered once per job.
+    head: String,
     writer: &'a RecordWriter<W>,
     items: usize,
     errors: usize,
 }
 
 impl<W: Write> ItemSink for JobSink<'_, W> {
-    fn item(&mut self, record: Value, failed: bool) -> bool {
+    fn head(&self) -> &str {
+        &self.head
+    }
+
+    fn item(&mut self, line: &str, failed: bool) -> bool {
         self.items += 1;
         self.errors += usize::from(failed);
-        self.writer.write(&job_record(self.id, record))
+        self.writer.write_line(line)
     }
 
     /// Unlike the one-shot CLI, a failing single job must not end the
     /// session: report it in place and keep serving.
     fn single_failed(&mut self, message: String) -> Result<(), String> {
-        self.item(error_object(message), true);
+        let line = record_line(&self.head, |w| emit_error(w, &message));
+        self.item(&line, true);
         Ok(())
     }
 }

@@ -11,7 +11,7 @@
 //! explicitly (the tool's `errorBudget` object form).
 
 use crate::error::{Error, Result};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Emitter, ObjectBuilder, Value};
 
 /// A partitioned error budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,6 +79,15 @@ impl ErrorBudget {
             .field("tStates", self.t_states)
             .field("rotations", self.rotations)
             .build()
+    }
+
+    /// Emit the fields of [`ErrorBudget::to_json`]'s object, in its order,
+    /// into an object the caller has opened.
+    pub fn emit_fields(&self, w: &mut Emitter<'_>) {
+        w.field("total", self.total())
+            .field("logical", self.logical)
+            .field("tStates", self.t_states)
+            .field("rotations", self.rotations);
     }
 }
 

@@ -18,6 +18,9 @@
 //!   closure in completion order (progress bars, NDJSON),
 //! * early stop — [`Estimator::sweep_until`] does the same, and its closure
 //!   can end the sweep (a consumer that hung up) after the in-flight items.
+//!   Its per-outcome map runs on the worker that estimated the item, so
+//!   work a consumer would otherwise do on the calling thread (the CLI
+//!   renders each record there) runs in parallel too.
 //!
 //! The engine owns a [`FactoryCache`] (behind an [`Arc`], so engines can
 //! share it): the expensive distillation-pipeline search is memoized across
@@ -144,29 +147,40 @@ impl Estimator {
     where
         F: FnMut(SweepOutcome),
     {
-        self.sweep_until(spec, |outcome| {
-            on_outcome(outcome);
-            ControlFlow::Continue(())
-        })
+        self.sweep_until(
+            spec,
+            |outcome| outcome,
+            |outcome| {
+                on_outcome(outcome);
+                ControlFlow::Continue(())
+            },
+        )
     }
 
-    /// [`Estimator::sweep_with`] whose callback can stop the sweep: after
-    /// `on_outcome` returns [`ControlFlow::Break`], no further items start,
-    /// the in-flight ones finish undelivered, and the call returns. The
-    /// sweep runs on the calling thread, so `on_outcome` blocking (a slow
-    /// consumer) throttles the workers through
+    /// [`Estimator::sweep_with`] with a per-outcome `map` run on the
+    /// worker, and a callback that can stop the sweep.
+    ///
+    /// Each item's [`SweepOutcome`] goes through `map` on the worker thread
+    /// that estimated it, and `on_outcome` receives what `map` returns, in
+    /// completion order. Pass `|o| o` to receive the outcomes themselves.
+    /// After `on_outcome` returns [`ControlFlow::Break`], no further items
+    /// start, the in-flight ones finish undelivered, and the call returns.
+    /// The sweep runs on the calling thread, so `on_outcome` blocking (a
+    /// slow consumer) throttles the workers through
     /// [`qre_par::parallel_map_streamed_until`]'s bounded delivery queue.
     /// Returns the number of expanded items, delivered or not; only an
     /// expansion error fails the whole sweep, before any item runs.
-    pub fn sweep_until<F>(&self, spec: &SweepSpec, mut on_outcome: F) -> Result<usize>
+    pub fn sweep_until<R, M, F>(&self, spec: &SweepSpec, map: M, mut on_outcome: F) -> Result<usize>
     where
-        F: FnMut(SweepOutcome) -> ControlFlow<()>,
+        R: Send,
+        M: Fn(SweepOutcome) -> R + Sync,
+        F: FnMut(R) -> ControlFlow<()>,
     {
         let items = spec.expand()?;
         qre_par::parallel_map_streamed_until(
             &items,
-            |_, (point, request)| self.sweep_outcome(point, request),
-            |_, outcome| on_outcome(outcome),
+            |_, (point, request)| map(self.sweep_outcome(point, request)),
+            |_, mapped| on_outcome(mapped),
         );
         Ok(items.len())
     }
@@ -312,10 +326,14 @@ mod tests {
         let engine = Estimator::new();
         let mut delivered = 0;
         let total = engine
-            .sweep_until(&spec, |_| {
-                delivered += 1;
-                ControlFlow::Break(())
-            })
+            .sweep_until(
+                &spec,
+                |o| o,
+                |_| {
+                    delivered += 1;
+                    ControlFlow::Break(())
+                },
+            )
             .unwrap();
         assert_eq!(total, items);
         assert_eq!(delivered, 1, "no delivery after the break");

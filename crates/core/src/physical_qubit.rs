@@ -13,7 +13,7 @@
 //! error 0.05 — the values encoded here.
 
 use crate::error::{Error, Result};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Emitter, ObjectBuilder, Value};
 
 /// The primitive instruction set of the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -277,6 +277,30 @@ impl PhysicalQubit {
             .field("tGateError", self.t_gate_error)
             .field("idleError", self.idle_error)
             .build()
+    }
+
+    /// Emit the fields of [`PhysicalQubit::to_json`]'s object, in its
+    /// order, into an object the caller has opened.
+    pub(crate) fn emit_fields(&self, w: &mut Emitter<'_>) {
+        w.field("name", self.name.as_str())
+            .field("instructionSet", self.instruction_set.name())
+            .field("oneQubitGateTimeNs", self.one_qubit_gate_time_ns)
+            .field("twoQubitGateTimeNs", self.two_qubit_gate_time_ns)
+            .field(
+                "oneQubitMeasurementTimeNs",
+                self.one_qubit_measurement_time_ns,
+            )
+            .field(
+                "twoQubitMeasurementTimeNs",
+                self.two_qubit_measurement_time_ns,
+            )
+            .field("tGateTimeNs", self.t_gate_time_ns)
+            .field("oneQubitGateError", self.one_qubit_gate_error)
+            .field("twoQubitGateError", self.two_qubit_gate_error)
+            .field("oneQubitMeasurementError", self.one_qubit_measurement_error)
+            .field("twoQubitMeasurementError", self.two_qubit_measurement_error)
+            .field("tGateError", self.t_gate_error)
+            .field("idleError", self.idle_error);
     }
 }
 

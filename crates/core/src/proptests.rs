@@ -1,6 +1,7 @@
 //! Property-based tests for the estimation pipeline's invariants, plus the
 //! engine-level metamorphic laws (budget monotonicity, frontier Pareto
-//! properties, shard/merge equivalence, snapshot round trips).
+//! properties, shard/merge equivalence, snapshot round trips), and the law
+//! that a result's byte renderer writes its `Value` form's compact bytes.
 
 use crate::budget::{ErrorBudget, PartitionSearch};
 use crate::cache::FactoryCache;
@@ -83,6 +84,23 @@ fn make(
 /// One estimate through a fresh engine.
 fn estimate(request: &EstimateRequest) -> Result<EstimationResult> {
     Estimator::new().estimate(request)
+}
+
+/// Constraint sets of Section IV-C.4, each constraint present or absent:
+/// some bind, and tight qubit or duration caps make the estimate fail.
+fn arb_constraints() -> impl Strategy<Value = Constraints> {
+    (
+        prop_oneof![Just(None), (1.0f64..4.0).prop_map(Some)],
+        prop_oneof![Just(None), (1u64..6).prop_map(Some)],
+        prop_oneof![Just(None), (1e4f64..1e13).prop_map(Some)],
+        prop_oneof![Just(None), (1_000u64..100_000_000).prop_map(Some)],
+    )
+        .prop_map(|(depth, factories, duration, qubits)| Constraints {
+            logical_depth_factor: depth,
+            max_t_factories: factories,
+            max_duration_ns: duration,
+            max_physical_qubits: qubits,
+        })
 }
 
 proptest! {
@@ -207,6 +225,42 @@ proptest! {
             prop_assert_eq!(b.breakdown.num_t_states, k * a.breakdown.num_t_states);
             prop_assert!(b.physical_counts.runtime_ns > a.physical_counts.runtime_ns);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `write_json` writes exactly the compact rendering of `to_json`, on
+    /// results with and without a T factory and rotation synthesis, under
+    /// drawn budgets and constraint sets, and with a profile name that
+    /// needs escaping. Draws that fail to estimate have no result to
+    /// render and pass.
+    #[test]
+    fn write_json_equals_the_compact_value(
+        counts in arb_counts(),
+        t_free in any::<bool>(),
+        profile in arb_profile(),
+        budget in prop_oneof![1e-9f64..0.3, Just(1e-60)],
+        constraints in arb_constraints(),
+        name in prop_oneof![Just(None), "\\PC{0,6}[\u{1}\n\"\\]{0,3}\\PC{0,4}".prop_map(Some)],
+    ) {
+        let counts = if t_free {
+            LogicalCounts { t_count: 0, rotation_count: 0, rotation_depth: 0, ccz_count: 0, ccix_count: 0, ..counts }
+        } else {
+            counts
+        };
+        let mut request = make(counts, profile, budget);
+        request.constraints = constraints;
+        if let Some(name) = name {
+            request.qubit.name = name;
+        }
+        let Ok(result) = estimate(&request) else {
+            return Ok(());
+        };
+        let mut bytes = String::new();
+        result.write_json(&mut bytes);
+        prop_assert_eq!(bytes, result.to_json().to_string_compact());
     }
 }
 

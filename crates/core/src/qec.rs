@@ -26,7 +26,7 @@
 use crate::error::{Error, Result};
 use crate::physical_qubit::{InstructionSet, PhysicalQubit};
 use qre_expr::{Formula, Scope};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Emitter, ObjectBuilder, Value};
 
 /// Named selector for the built-in schemes (custom schemes are provided as a
 /// full [`QecScheme`] value).
@@ -257,6 +257,21 @@ impl QecScheme {
             )
             .field("maxCodeDistance", u64::from(self.max_code_distance))
             .build()
+    }
+
+    /// Emit the fields of [`QecScheme::to_json`]'s object, in its order,
+    /// into an object the caller has opened.
+    pub(crate) fn emit_fields(&self, w: &mut Emitter<'_>) {
+        w.field("name", self.name.as_str())
+            .field("instructionSet", self.instruction_set.name())
+            .field("errorCorrectionThreshold", self.error_correction_threshold)
+            .field("crossingPrefactor", self.crossing_prefactor)
+            .field("logicalCycleTime", self.logical_cycle_time.source())
+            .field(
+                "physicalQubitsPerLogicalQubit",
+                self.physical_qubits_per_logical_qubit.source(),
+            )
+            .field("maxCodeDistance", self.max_code_distance);
     }
 }
 

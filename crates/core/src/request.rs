@@ -832,7 +832,7 @@ mod tests {
         assert!(message.contains("8192 constraints"), "{message}");
         assert!(engine.sweep_with(&spec, |_| {}).is_err());
         assert!(engine
-            .sweep_until(&spec, |_| std::ops::ControlFlow::Continue(()))
+            .sweep_until(&spec, |o| o, |_| std::ops::ControlFlow::Continue(()))
             .is_err());
         assert!(
             started.elapsed() < std::time::Duration::from_secs(1),

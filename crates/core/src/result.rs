@@ -5,7 +5,7 @@ use crate::physical_qubit::PhysicalQubit;
 use crate::qec::{LogicalQubit, QecScheme};
 use crate::tfactory::TFactory;
 use qre_circuit::LogicalCounts;
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Emitter, ObjectBuilder, Value};
 use std::fmt::Write as _;
 
 /// Group 1: the headline physical resource estimates (Section IV-D.1).
@@ -134,6 +134,80 @@ impl EstimationResult {
                 ),
             )
             .build()
+    }
+
+    /// Append this result's compact JSON to `out`: exactly the bytes of
+    /// `self.to_json().to_string_compact()`, written field by field with no
+    /// [`Value`] built on the way. Into a buffer with room to spare (a
+    /// result is ≈ 3 KB) it allocates nothing.
+    pub fn write_json(&self, out: &mut String) {
+        Emitter::new(out).object(|w| self.emit_fields(w));
+    }
+
+    /// Emit the fields of [`EstimationResult::to_json`]'s object, in its
+    /// order, into an object the caller has opened: the byte renderer
+    /// behind [`EstimationResult::write_json`], for records that nest a
+    /// result or extend it with fields of their own.
+    pub fn emit_fields(&self, w: &mut Emitter<'_>) {
+        let pc = &self.physical_counts;
+        let b = &self.breakdown;
+        let lq = &self.logical_qubit;
+        w.field("status", "success")
+            .key("physicalCounts")
+            .object(|w| {
+                w.field("physicalQubits", pc.physical_qubits)
+                    .field("runtimeNs", pc.runtime_ns)
+                    .field("rqops", pc.rqops);
+            })
+            .key("breakdown")
+            .object(|w| {
+                w.field("algorithmicLogicalQubits", b.algorithmic_logical_qubits)
+                    .field("algorithmicLogicalDepth", b.algorithmic_depth)
+                    .field("numCycles", b.num_cycles)
+                    .field("logicalDepthFactor", b.logical_depth_factor)
+                    .field("clockFrequencyHz", b.clock_frequency_hz)
+                    .field("numTstates", b.num_t_states)
+                    .field("numTfactories", b.num_t_factories)
+                    .field("numTfactoryRuns", b.num_t_factory_runs)
+                    .field(
+                        "physicalQubitsForAlgorithm",
+                        b.physical_qubits_for_algorithm,
+                    )
+                    .field(
+                        "physicalQubitsForTfactories",
+                        b.physical_qubits_for_t_factories,
+                    )
+                    .field(
+                        "requiredLogicalQubitErrorRate",
+                        b.required_logical_error_rate,
+                    )
+                    .field_opt("requiredTstateErrorRate", b.required_t_state_error_rate)
+                    .field("numTstatesPerRotation", b.t_states_per_rotation);
+            })
+            .key("logicalQubit")
+            .object(|w| {
+                w.field("codeDistance", lq.code_distance)
+                    .field("physicalQubits", lq.physical_qubits)
+                    .field("logicalCycleTimeNs", lq.cycle_time_ns)
+                    .field("logicalErrorRate", lq.logical_error_rate)
+                    .key("qecScheme")
+                    .object(|w| self.qec_scheme.emit_fields(w));
+            });
+        if let Some(factory) = &self.t_factory {
+            w.key("tfactory").object(|w| factory.emit_fields(w));
+        }
+        w.key("preLayoutLogicalResources")
+            .object(|w| emit_counts(w, &self.pre_layout))
+            .key("errorBudget")
+            .object(|w| self.error_budget.emit_fields(w))
+            .key("physicalQubitParameters")
+            .object(|w| self.physical_qubit.emit_fields(w))
+            .key("assumptions")
+            .begin_array();
+        for assumption in &self.assumptions {
+            w.value(assumption.as_str());
+        }
+        w.end_array();
     }
 
     /// Human-readable report covering every output group.
@@ -333,6 +407,18 @@ impl EstimationResult {
         }
         out
     }
+}
+
+/// Emit the fields of [`LogicalCounts::to_json`]'s object, in its order,
+/// into an object the caller has opened.
+fn emit_counts(w: &mut Emitter<'_>, c: &LogicalCounts) {
+    w.field("numQubits", c.num_qubits)
+        .field("tCount", c.t_count)
+        .field("rotationCount", c.rotation_count)
+        .field("rotationDepth", c.rotation_depth)
+        .field("cczCount", c.ccz_count)
+        .field("ccixCount", c.ccix_count)
+        .field("measurementCount", c.measurement_count);
 }
 
 /// Format a nanosecond duration with a natural unit.

@@ -67,7 +67,7 @@ use crate::error::{Error, Result};
 use crate::physical_qubit::PhysicalQubit;
 use crate::qec::{DistanceTable, QecScheme};
 use qre_expr::{Formula, Scope};
-use qre_json::{ObjectBuilder, Value};
+use qre_json::{Emitter, ObjectBuilder, Value};
 use std::cmp::Ordering;
 
 /// Physical-level execution parameters of a unit.
@@ -247,6 +247,36 @@ impl TFactory {
             .field("outputTStates", self.output_t_states)
             .field("rounds", Value::Array(rounds))
             .build()
+    }
+
+    /// Emit the fields of [`TFactory::to_json`]'s object, in its order,
+    /// into an object the caller has opened.
+    pub(crate) fn emit_fields(&self, w: &mut Emitter<'_>) {
+        w.field("numRounds", self.rounds.len())
+            .field("physicalQubits", self.physical_qubits)
+            .field("durationNs", self.duration_ns)
+            .field("inputErrorRate", self.input_error_rate)
+            .field("outputErrorRate", self.output_error_rate)
+            .field("outputTStates", self.output_t_states)
+            .key("rounds")
+            .begin_array();
+        for r in &self.rounds {
+            let code_distance = match r.level {
+                RoundLevel::Physical => 0,
+                RoundLevel::Logical { code_distance } => code_distance,
+            };
+            w.object(|w| {
+                w.field("unit", r.unit_name.as_str())
+                    .field("codeDistance", code_distance)
+                    .field("copies", r.copies)
+                    .field("inputErrorRate", r.input_error_rate)
+                    .field("outputErrorRate", r.output_error_rate)
+                    .field("failureProbability", r.failure_probability)
+                    .field("physicalQubitsPerUnit", r.physical_qubits_per_unit)
+                    .field("durationNs", r.duration_ns);
+            });
+        }
+        w.end_array();
     }
 }
 

@@ -11,6 +11,9 @@
 //! * [`parse()`] — a strict recursive-descent parser with precise error positions,
 //! * [`Value::to_string_pretty`] / [`Value::to_string_compact`] — deterministic
 //!   printers whose number formatting round-trips `f64` exactly,
+//! * [`Emitter`] — the compact printer without a [`Value`]: it writes a
+//!   document field by field straight into a `String`, allocating nothing,
+//!   with the printers' own number and string formats ([`Scalar`]),
 //! * [`ObjectBuilder`] — an order-preserving object builder, so emitted result
 //!   groups appear in the same order the paper lists them.
 //!
@@ -38,6 +41,7 @@ mod print;
 mod value;
 
 pub use parse::{parse, ParseError};
+pub use print::{Emitter, Scalar};
 pub use value::{Number, ObjectBuilder, Value};
 
 // Property-based tests, on the in-repo `qre-proptest` harness (its library

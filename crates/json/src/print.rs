@@ -1,41 +1,314 @@
 //! Deterministic JSON printers.
 //!
-//! Number output uses Rust's shortest-round-trip `f64` formatting and is
-//! post-processed so the emitted literal is always valid JSON (a bare `1e300`
-//! stays `1e300`, `NaN`/infinities are unrepresentable and rejected upstream
-//! by the parser; when printing we map them to `null` defensively).
+//! [`Emitter`] is the one home of the compact formats: every number and
+//! every string the crate prints, in [`Value`]'s compact and pretty forms
+//! alike, goes through its [`Scalar`] formats, so a document written field
+//! by field is byte-identical to the printed `Value` of the same shape.
+//!
+//! Number output: integers, and integral floats below 1e15, are formatted
+//! here without `fmt` (the floats with a trailing `.0`, so they read back
+//! as floats); every other finite float uses Rust's shortest-round-trip
+//! `f64` formatting, which never writes an exponent. `NaN` and infinities
+//! are unrepresentable and rejected upstream by the parser; when printing
+//! they map to `null` defensively.
 
 use crate::value::{Number, Value};
 use std::fmt::Write as _;
 
-pub(crate) fn write_compact(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => write_number(*n, out),
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(item, out);
+/// Compact JSON written straight into a caller's `String`, with no
+/// [`Value`] built on the way.
+///
+/// The emitter allocates nothing of its own: into a buffer with room to
+/// spare, a whole document costs no allocation. It tracks only whether the
+/// next key or element needs a comma, so the caller balances every
+/// `begin_*` with its `end_*` (or uses [`Emitter::object`]). A caller that
+/// has already written an object's opening — `{`, or `{` plus fields and a
+/// trailing comma — can emit the remaining fields through a new emitter and
+/// close the object itself.
+///
+/// ```
+/// use qre_json::{parse, Emitter, ObjectBuilder};
+///
+/// let mut out = String::with_capacity(64);
+/// Emitter::new(&mut out)
+///     .object(|w| {
+///         w.field("name", "surface_code")
+///             .field("codeDistance", 15u64)
+///             .field_opt("cap", None::<u64>)
+///             .key("rates")
+///             .begin_array()
+///             .value(1e-3)
+///             .value(4.0)
+///             .end_array();
+///     });
+/// assert_eq!(out, r#"{"name":"surface_code","codeDistance":15,"rates":[0.001,4.0]}"#);
+/// let same = ObjectBuilder::new()
+///     .field("name", "surface_code")
+///     .field("codeDistance", 15u64)
+///     .field("rates", vec![1e-3, 4.0])
+///     .build();
+/// assert_eq!(same.to_string_compact(), out);
+/// assert_eq!(parse(&out).unwrap(), same);
+/// ```
+#[derive(Debug)]
+pub struct Emitter<'a> {
+    out: &'a mut String,
+    /// A value just ended at the current level: the next key or element
+    /// needs a comma first.
+    comma: bool,
+}
+
+impl<'a> Emitter<'a> {
+    /// An emitter appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        Emitter { out, comma: false }
+    }
+
+    #[inline]
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Open an object (a value, or an element of an array).
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Close the innermost open object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Open an array (a value, or an element of an array).
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Close the innermost open array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// An object whose fields `fields` emits: [`Emitter::begin_object`],
+    /// then `fields`, then [`Emitter::end_object`].
+    pub fn object(&mut self, fields: impl FnOnce(&mut Self)) -> &mut Self {
+        self.begin_object();
+        fields(self);
+        self.end_object()
+    }
+
+    /// The key of the next field of the innermost open object; its value
+    /// follows.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        write_string(key, self.out);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// A scalar value (a field's value after [`Emitter::key`], or an
+    /// element of an array).
+    pub fn value(&mut self, value: impl Scalar) -> &mut Self {
+        self.separate();
+        value.write(self.out);
+        self.comma = true;
+        self
+    }
+
+    /// `null` (a field's value after [`Emitter::key`], or an element of an
+    /// array).
+    pub fn null(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push_str("null");
+        self.comma = true;
+        self
+    }
+
+    /// A field with a scalar value.
+    pub fn field(&mut self, key: &str, value: impl Scalar) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// A field only when `value` is `Some`, as
+    /// [`ObjectBuilder::field_opt`](crate::ObjectBuilder::field_opt) adds
+    /// one.
+    pub fn field_opt(&mut self, key: &str, value: Option<impl Scalar>) -> &mut Self {
+        match value {
+            Some(value) => self.field(key, value),
+            None => self,
+        }
+    }
+}
+
+/// A JSON scalar an [`Emitter`] writes: a number, a string or a bool, in
+/// the form [`Value`]'s printers give the matching [`Value`].
+pub trait Scalar {
+    /// Append the scalar's compact JSON form to `out`.
+    fn write(self, out: &mut String);
+}
+
+impl Scalar for bool {
+    fn write(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+}
+
+impl Scalar for u64 {
+    fn write(self, out: &mut String) {
+        write_u64(self, out);
+    }
+}
+
+impl Scalar for u32 {
+    fn write(self, out: &mut String) {
+        write_u64(u64::from(self), out);
+    }
+}
+
+impl Scalar for usize {
+    fn write(self, out: &mut String) {
+        write_u64(self as u64, out);
+    }
+}
+
+impl Scalar for i64 {
+    fn write(self, out: &mut String) {
+        if self < 0 {
+            out.push('-');
+        }
+        write_u64(self.unsigned_abs(), out);
+    }
+}
+
+impl Scalar for f64 {
+    fn write(self, out: &mut String) {
+        if !self.is_finite() {
+            // JSON cannot represent these; degrade to null rather than
+            // emit an invalid document.
+            out.push_str("null");
+        } else if self == self.trunc() && self.abs() < 1e15 {
+            // Small integral floats print with a ".0" so they survive a
+            // round-trip as floats (important for duration fields). Below
+            // 1e15 the value converts to `u64` exactly; `-0.0` keeps its
+            // sign, as `fmt` writes it.
+            if self.is_sign_negative() {
+                out.push('-');
             }
-            out.push(']');
+            write_u64(self.abs() as u64, out);
+            out.push_str(".0");
+        } else {
+            let _ = write!(out, "{self}");
+        }
+    }
+}
+
+impl Scalar for Number {
+    fn write(self, out: &mut String) {
+        match self {
+            Number::UInt(u) => u.write(out),
+            Number::Int(i) => i.write(out),
+            Number::Float(f) => f.write(out),
+        }
+    }
+}
+
+impl Scalar for &str {
+    fn write(self, out: &mut String) {
+        write_string(self, out);
+    }
+}
+
+/// Decimal digits of `u`, through a stack buffer.
+fn write_u64(mut u: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// `s` as a JSON string literal. Runs that need no escape are copied
+/// whole; only `"`, `\` and the control characters below U+0020 are
+/// escaped (the five with a short form use it, the rest `\u00xx`).
+fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        // `i` indexes an ASCII byte, so it is a char boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(byte >> 4)]));
+            out.push(char::from(HEX[usize::from(byte & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Compact rendering of `value` through `w`.
+pub(crate) fn write_compact(value: &Value, w: &mut Emitter<'_>) {
+    match value {
+        Value::Null => {
+            w.null();
+        }
+        Value::Bool(b) => {
+            w.value(*b);
+        }
+        Value::Num(n) => {
+            w.value(*n);
+        }
+        Value::Str(s) => {
+            w.value(s.as_str());
+        }
+        Value::Array(items) => {
+            w.begin_array();
+            for item in items {
+                write_compact(item, w);
+            }
+            w.end_array();
         }
         Value::Object(pairs) => {
-            out.push('{');
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_compact(v, out);
+            w.begin_object();
+            for (k, v) in pairs {
+                w.key(k);
+                write_compact(v, w);
             }
-            out.push('}');
+            w.end_object();
         }
     }
 }
@@ -70,7 +343,7 @@ pub(crate) fn write_pretty(value: &Value, indent: usize, out: &mut String) {
             push_indent(indent, out);
             out.push('}');
         }
-        other => write_compact(other, out),
+        other => write_compact(other, &mut Emitter::new(out)),
     }
 }
 
@@ -79,52 +352,6 @@ fn push_indent(level: usize, out: &mut String) {
     for _ in 0..level {
         out.push_str("  ");
     }
-}
-
-fn write_number(n: Number, out: &mut String) {
-    match n {
-        Number::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Number::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Number::Float(f) => {
-            if !f.is_finite() {
-                // JSON cannot represent these; degrade to null rather than
-                // emit an invalid document.
-                out.push_str("null");
-                return;
-            }
-            if f == f.trunc() && f.abs() < 1e15 {
-                // Small integral floats print with a ".0" so they survive a
-                // round-trip as floats (important for duration fields).
-                let _ = write!(out, "{f:.1}");
-            } else {
-                let _ = write!(out, "{f}");
-            }
-        }
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

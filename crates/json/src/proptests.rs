@@ -1,7 +1,138 @@
-//! Property-based tests: print∘parse identity over arbitrary documents.
+//! Property-based tests: print∘parse identity over arbitrary documents, and
+//! the printer's byte equality with the per-`char`, `fmt`-based reference
+//! printer it replaced.
 
-use crate::{parse, Number, Value};
+use crate::{parse, Emitter, Number, Value};
 use proptest::prelude::*;
+use std::fmt::Write as _;
+
+/// The reference printer: the compact printer as it was before strings
+/// were copied in runs and numbers formatted without `fmt`. Test-only; the
+/// laws below hold the current printer to its bytes.
+mod reference {
+    use super::*;
+
+    pub fn compact(value: &Value, out: &mut String) {
+        match value {
+            Value::Null => out.push_str("null"),
+            Value::Bool(true) => out.push_str("true"),
+            Value::Bool(false) => out.push_str("false"),
+            Value::Num(n) => number(*n, out),
+            Value::Str(s) => string(s, out),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    compact(item, out);
+                }
+                out.push(']');
+            }
+            Value::Object(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    string(k, out);
+                    out.push(':');
+                    compact(v, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    pub fn number(n: Number, out: &mut String) {
+        match n {
+            Number::UInt(u) => {
+                let _ = write!(out, "{u}");
+            }
+            Number::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Number::Float(f) => {
+                if !f.is_finite() {
+                    out.push_str("null");
+                    return;
+                }
+                if f == f.trunc() && f.abs() < 1e15 {
+                    let _ = write!(out, "{f:.1}");
+                } else {
+                    let _ = write!(out, "{f}");
+                }
+            }
+        }
+    }
+
+    pub fn string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{0008}' => out.push_str("\\b"),
+                '\u{000C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    pub fn render(value: &Value) -> String {
+        let mut out = String::new();
+        compact(value, &mut out);
+        out
+    }
+}
+
+/// Strings heavy in what the printer escapes: every control character,
+/// quotes, backslashes, DEL and U+2028, between ASCII and multi-byte text.
+fn arb_escapable() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[\u{0}-\u{1f}\"\\a-z \u{7f}\u{e9}\u{2028}\u{1f600}]{0,32}",
+        "\\PC{0,6}[\u{0}-\u{1f}\"\\]{0,3}\\PC{0,6}[\"\\]{0,2}",
+    ]
+}
+
+/// Floats around every branch of the number format: integral ones on both
+/// sides of 1e15 and of 2^53, signed zeros, subnormals, and every bit
+/// pattern.
+fn arb_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-2e15f64..2e15).prop_map(f64::trunc),
+        (-4e15f64..4e15).prop_map(f64::trunc),
+        (-1e300f64..1e300).prop_map(f64::trunc),
+        any::<i64>().prop_map(|i| i as f64),
+        -1e6f64..1e6,
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(1e15),
+            Just(-1e15),
+            Just(1e15 - 1.0),
+            Just(-(1e15 - 1.0)),
+            Just(1e15 + 2.0),
+            Just(9_007_199_254_740_992.0),
+            Just(-9_007_199_254_740_992.0),
+            Just(9_007_199_254_740_991.0),
+            Just(9_007_199_254_740_994.0),
+            Just(f64::MIN_POSITIVE),
+            Just(f64::MAX),
+            Just(f64::MIN),
+        ],
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        (1u64..1 << 52).prop_map(|bits| -f64::from_bits(bits)),
+        any::<f64>(),
+    ]
+}
 
 /// Strategy generating arbitrary JSON values of bounded depth/size.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -51,6 +182,42 @@ fn approx_same(a: &Value, b: &Value) -> bool {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Strings: the run-copying printer writes the reference's bytes,
+    /// through `Value` and through the emitter alike.
+    #[test]
+    fn strings_print_as_the_reference(s in arb_escapable()) {
+        let want = reference::render(&Value::Str(s.clone()));
+        prop_assert_eq!(Value::Str(s.clone()).to_string_compact(), want.clone());
+        let mut emitted = String::new();
+        Emitter::new(&mut emitted).value(s.as_str());
+        prop_assert_eq!(emitted, want);
+    }
+
+    /// Numbers: the `fmt`-free integer and integral-float formats write
+    /// the reference's bytes.
+    #[test]
+    fn numbers_print_as_the_reference(
+        f in arb_float(),
+        u in prop_oneof![any::<u64>(), Just(0u64), Just(u64::MAX), 0u64..1000],
+        i in prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX), -1000i64..1000],
+    ) {
+        for n in [Number::Float(f), Number::UInt(u), Number::Int(i)] {
+            let mut want = String::new();
+            reference::number(n, &mut want);
+            prop_assert_eq!(Value::Num(n).to_string_compact(), want.clone(), "{:?}", n);
+            let mut emitted = String::new();
+            Emitter::new(&mut emitted).value(n);
+            prop_assert_eq!(emitted, want, "{:?}", n);
+        }
+    }
+
+    /// Whole documents: the emitter-driven compact printer writes the
+    /// reference's bytes, structure included.
+    #[test]
+    fn documents_print_as_the_reference(v in arb_value()) {
+        prop_assert_eq!(v.to_string_compact(), reference::render(&v));
+    }
 
     #[test]
     fn compact_print_parse_identity(v in arb_value()) {

@@ -169,7 +169,7 @@ impl Value {
     /// Compact single-line rendering.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        crate::print::write_compact(self, &mut out);
+        crate::print::write_compact(self, &mut crate::Emitter::new(&mut out));
         out
     }
 

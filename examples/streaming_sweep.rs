@@ -8,7 +8,9 @@
 //! * an observer callback ([`Estimator::sweep_with`]) driving a progress
 //!   counter,
 //! * an observer that stops the sweep early ([`Estimator::sweep_until`]):
-//!   once it returns [`ControlFlow::Break`], no further item starts.
+//!   its map condenses each outcome on the worker that estimated it, and
+//!   once the observer returns [`ControlFlow::Break`], no further item
+//!   starts.
 //!
 //! ```text
 //! cargo run --example streaming_sweep --release
@@ -21,9 +23,9 @@ use qre::estimator::{
     format_duration_ns, group_digits, Estimator, HardwareProfile, SweepOutcome, SweepSpec,
 };
 
-fn print_outcome(o: &SweepOutcome) {
+fn outcome_line(o: &SweepOutcome) -> String {
     match &o.outcome {
-        Ok(r) => println!(
+        Ok(r) => format!(
             "  [{}] {:<18} {:<13} {:>16} qubits {:>12}",
             o.point.index,
             o.point.profile,
@@ -31,7 +33,7 @@ fn print_outcome(o: &SweepOutcome) {
             group_digits(r.physical_counts.physical_qubits),
             format_duration_ns(r.physical_counts.runtime_ns),
         ),
-        Err(e) => println!("  [{}] {:<18} error: {e}", o.point.index, o.point.profile),
+        Err(e) => format!("  [{}] {:<18} error: {e}", o.point.index, o.point.profile),
     }
 }
 
@@ -53,7 +55,7 @@ fn main() {
     let total = engine
         .sweep_with(&spec, |o| {
             done += 1;
-            print_outcome(&o);
+            println!("{}", outcome_line(&o));
             println!("  progress: {done}/{}", spec.len());
         })
         .expect("axes are non-empty");
@@ -61,20 +63,26 @@ fn main() {
 
     // Style 2: early stop — a consumer that wants only the first three
     // outcomes (or has hung up) breaks: no further item starts, and the
-    // outcomes of items already running are dropped. The warm cache makes
-    // this pass near-instant.
+    // outcomes of items already running are dropped. The map runs on the
+    // workers, so each outcome's line is formatted in parallel and only
+    // the line crosses to this thread. The warm cache makes this pass
+    // near-instant.
     println!("\nsweep_until (first three outcomes, warm cache):");
     let mut taken = 0usize;
     engine
-        .sweep_until(&spec, |o| {
-            print_outcome(&o);
-            taken += 1;
-            if taken == 3 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
+        .sweep_until(
+            &spec,
+            |o| outcome_line(&o),
+            |line| {
+                println!("{line}");
+                taken += 1;
+                if taken == 3 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        )
         .expect("axes are non-empty");
     assert_eq!(taken, 3);
 

@@ -31,8 +31,20 @@ fn regen_requested() -> bool {
 }
 
 /// Compare (or, under `QRE_GOLDEN_REGEN`, rewrite) one golden fixture.
+/// The fixture also pins the byte renderer that streamed records use:
+/// `write_json`'s compact document must parse to the fixture's value.
 fn check_golden(name: &str, result: &EstimationResult) {
     check_golden_text(name, result.to_json().to_string_pretty() + "\n");
+    if !regen_requested() {
+        let mut compact = String::new();
+        result.write_json(&mut compact);
+        let fixture = std::fs::read_to_string(fixture_path(name)).expect("fixture just compared");
+        assert_eq!(
+            qre::json::parse(&compact).expect("write_json writes JSON"),
+            qre::json::parse(&fixture).expect("fixture is JSON"),
+            "write_json diverges from the golden fixture {name}"
+        );
+    }
 }
 
 /// Byte-exact comparison for fixtures that aren't a single result document
