@@ -9,7 +9,8 @@
 //! estimate path moves both sides of every ratio alike, so the gate cannot
 //! see it; only an A/B run of the `ledger/` benchmark against the parent
 //! commit does. Each bound sits where a 2× slowdown of the side it guards
-//! crosses it. Every gated ratio, by its record name:
+//! crosses it, except the time-to-first-result floor (see [`FIRST_ITEM`]).
+//! Every gated ratio, by its record name:
 //!
 //! * **search** — the branch-and-bound T-factory search against the
 //!   retained exhaustive enumerator on the paper's Figure 3 problem
@@ -82,10 +83,14 @@ const SEARCH: Bound = Bound::Floor(100.0);
 /// Cold / warm six-profile sweep; guards the cache-hit path.
 const SIX_PROFILE: Bound = Bound::Floor(2.6);
 /// Stress cold / warm; guards the warm sweep.
-const STRESS_WARM: Bound = Bound::Floor(2.0);
+const STRESS_WARM: Bound = Bound::Floor(2.5);
 /// Stress cold to the last item / to the first; guards time to first
-/// result.
-const FIRST_ITEM: Bound = Bound::Floor(14.0);
+/// result. The exception to the 2× rule: on a 2-vCPU box the first outcome
+/// arrives after 0.1–1.2 ms of worker start-up and scheduling, a spread
+/// wider than 2×, so this floor catches a first outcome that waits on
+/// work proportional to the sweep (building the item list up front read
+/// 16–24), not a 2× slowdown.
+const FIRST_ITEM: Bound = Bound::Floor(300.0);
 /// Stress shard sessions + merge / cold; guards the shard-and-merge
 /// pipeline.
 const SHARDED: Bound = Bound::Ceiling(4.0);

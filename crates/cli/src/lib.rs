@@ -704,9 +704,9 @@ pub(crate) fn execute(
         SubmissionKind::Batch(jobs) => {
             sink.total(jobs.len());
             qre_par::parallel_map_streamed_until(
-                jobs,
-                |index, spec| {
-                    let job = JobOutput::run(engine, spec);
+                jobs.len(),
+                |index| {
+                    let job = JobOutput::run(engine, &jobs[index]);
                     let line = record_line(head, |w| {
                         w.field("index", index);
                         match &job {

@@ -10,10 +10,12 @@
 //! ([`qre_par::parallel_map_streamed_until`]) on the calling thread: items
 //! run in parallel and their outcomes are delivered **as they finish**,
 //! with per-item errors reported in place rather than aborting the sweep.
-//! Three consumption styles layer on top of that single path:
+//! No sweep lists its items: each (profile, scheme) cell is resolved once
+//! per sweep, and the worker that estimates item `i` builds it from its
+//! index. Three consumption styles layer on top of that single path:
 //!
-//! * collecting — [`Estimator::sweep`] stitches streamed outcomes back into
-//!   expansion order,
+//! * collecting — [`Estimator::sweep`] puts streamed outcomes back into
+//!   expansion order by index,
 //! * observer callback — [`Estimator::sweep_with`] hands each outcome to a
 //!   closure in completion order (progress bars, NDJSON),
 //! * early stop — [`Estimator::sweep_until`] does the same, and its closure
@@ -114,34 +116,23 @@ impl Estimator {
         request.estimate_with(&self.cache)
     }
 
-    /// Expand a sweep's cartesian product and estimate every item in
-    /// parallel. Outcomes come back in expansion (row-major) order with
-    /// per-item errors in place; only an expansion error (an empty
-    /// mandatory axis, an overflowing axis product) fails the whole sweep.
+    /// Estimate every item of a sweep's cartesian product in parallel: the
+    /// outcomes of [`Estimator::sweep_with`], put back in expansion
+    /// (row-major) order by index, with per-item errors in place. Only a
+    /// spec-wide error (an empty mandatory axis, an overflowing axis
+    /// product) fails the whole sweep.
     pub fn sweep(&self, spec: &SweepSpec) -> Result<Vec<SweepOutcome>> {
-        let items = spec.expand()?;
-        Ok(qre_par::parallel_map(&items, |(point, request)| {
-            self.sweep_outcome(point, request)
-        }))
+        let mut outcomes = Vec::new();
+        self.sweep_with(spec, |o| outcomes.push(o))?;
+        outcomes.sort_unstable_by_key(|o| o.point.index);
+        Ok(outcomes)
     }
 
-    /// Estimate one expanded sweep item (shared by the collecting and
-    /// streamed forms).
-    fn sweep_outcome(&self, point: &SweepPoint, request: &Result<EstimateRequest>) -> SweepOutcome {
-        SweepOutcome {
-            point: point.clone(),
-            outcome: match request {
-                Ok(request) => self.estimate(request),
-                Err(e) => Err(e.clone()),
-            },
-        }
-    }
-
-    /// Streamed sweep execution: expand the cartesian product, estimate
-    /// every item in parallel, and hand each [`SweepOutcome`] to
-    /// `on_outcome` **in completion order** (the outcome's `point.index`
-    /// identifies its position in the expansion). Returns the number of
-    /// expanded items; only an expansion error fails the whole sweep.
+    /// Streamed sweep execution: estimate every item of the cartesian
+    /// product in parallel and hand each [`SweepOutcome`] to `on_outcome`
+    /// **in completion order** (the outcome's `point.index` identifies its
+    /// position in the expansion). Returns the number of items the spec
+    /// runs; only a spec-wide error fails the whole sweep.
     /// [`Estimator::sweep_until`] without the early stop.
     pub fn sweep_with<F>(&self, spec: &SweepSpec, mut on_outcome: F) -> Result<usize>
     where
@@ -160,29 +151,35 @@ impl Estimator {
     /// [`Estimator::sweep_with`] with a per-outcome `map` run on the
     /// worker, and a callback that can stop the sweep.
     ///
-    /// Each item's [`SweepOutcome`] goes through `map` on the worker thread
-    /// that estimated it, and `on_outcome` receives what `map` returns, in
-    /// completion order. Pass `|o| o` to receive the outcomes themselves.
-    /// After `on_outcome` returns [`ControlFlow::Break`], no further items
-    /// start, the in-flight ones finish undelivered, and the call returns.
-    /// The sweep runs on the calling thread, so `on_outcome` blocking (a
-    /// slow consumer) throttles the workers through
+    /// Each item is built from its index, estimated, and its
+    /// [`SweepOutcome`] put through `map`, all on the worker thread that
+    /// claimed it; `on_outcome` receives what `map` returns, in completion
+    /// order. Pass `|o| o` to receive the outcomes themselves. After
+    /// `on_outcome` returns [`ControlFlow::Break`], no further items start,
+    /// the in-flight ones finish undelivered, and the call returns. The
+    /// sweep runs on the calling thread, so `on_outcome` blocking (a slow
+    /// consumer) throttles the workers through
     /// [`qre_par::parallel_map_streamed_until`]'s bounded delivery queue.
-    /// Returns the number of expanded items, delivered or not; only an
-    /// expansion error fails the whole sweep, before any item runs.
+    /// Returns the number of items the spec runs, delivered or not; only a
+    /// spec-wide error fails the whole sweep, before any item runs.
     pub fn sweep_until<R, M, F>(&self, spec: &SweepSpec, map: M, mut on_outcome: F) -> Result<usize>
     where
         R: Send,
         M: Fn(SweepOutcome) -> R + Sync,
         F: FnMut(R) -> ControlFlow<()>,
     {
-        let items = spec.expand()?;
+        let items = spec.items()?;
+        let range = items.range.clone();
         qre_par::parallel_map_streamed_until(
-            &items,
-            |_, (point, request)| map(self.sweep_outcome(point, request)),
+            range.len(),
+            |i| {
+                let (point, request) = items.item(range.start + i);
+                let outcome = request.and_then(|request| self.estimate(&request));
+                map(SweepOutcome { point, outcome })
+            },
             |_, mapped| on_outcome(mapped),
         );
-        Ok(items.len())
+        Ok(range.len())
     }
 
     /// Explore the qubit/runtime frontier of one request through the shared

@@ -29,9 +29,9 @@
 //! [`SweepSpec`] — collected in expansion order ([`Estimator::sweep`]),
 //! or handed to an observer in completion order ([`Estimator::sweep_with`],
 //! and [`Estimator::sweep_until`], whose observer can stop the sweep).
-//! Sweep items run in parallel with per-item outcomes; the observer runs on
-//! the calling thread, and `sweep_until`'s per-outcome map on the worker
-//! that estimated the item.
+//! Sweep items run in parallel with per-item outcomes, each built from its
+//! index on the worker that estimates it; the observer runs on the calling
+//! thread, and `sweep_until`'s per-outcome map on the worker.
 //!
 //! The engine's memoized T-factory design store ([`FactoryCache`]) can be
 //! shared process-wide ([`FactoryCache::scoped`] views with exact per-scope

@@ -1,7 +1,9 @@
 //! Property-based tests for the estimation pipeline's invariants, plus the
 //! engine-level metamorphic laws (budget monotonicity, frontier Pareto
-//! properties, shard/merge equivalence, snapshot round trips), and the law
-//! that a result's byte renderer writes its `Value` form's compact bytes.
+//! properties, shard/merge equivalence, snapshot round trips), the law
+//! that a result's byte renderer writes its `Value` form's compact bytes,
+//! and the law that a sweep item built from its index equals the item the
+//! nested-loop expansion it replaced builds.
 
 use crate::budget::{ErrorBudget, PartitionSearch};
 use crate::cache::FactoryCache;
@@ -10,7 +12,7 @@ use crate::error::Result;
 use crate::estimate::Constraints;
 use crate::physical_qubit::PhysicalQubit;
 use crate::qec::{QecScheme, QecSchemeKind};
-use crate::request::{EstimateRequest, SweepSpec};
+use crate::request::{EstimateRequest, SweepPoint, SweepScheme, SweepSpec};
 use crate::result::EstimationResult;
 use crate::tfactory::{
     default_distillation_units, DistillationUnit, LogicalUnitSpec, PhysicalUnitSpec,
@@ -550,6 +552,132 @@ proptest! {
     }
 }
 
+/// The reference expansion: every sweep item built by five nested loops
+/// over the axes, as sweeps ran before items were built from their index.
+/// Test-only; the law below holds [`SweepSpec::items`] to its items.
+mod reference {
+    use super::*;
+    use crate::error::Error;
+    use crate::request::validated_budget;
+
+    pub fn expand(spec: &SweepSpec) -> Result<Vec<(SweepPoint, Result<EstimateRequest>)>> {
+        if spec.workloads.is_empty() {
+            return Err(Error::InvalidInput(
+                "sweep needs at least one workload".into(),
+            ));
+        }
+        if spec.profiles.is_empty() {
+            return Err(Error::InvalidInput(
+                "sweep needs at least one hardware profile".into(),
+            ));
+        }
+        let default_schemes = [SweepScheme::ProfileDefault];
+        let schemes: &[SweepScheme] = if spec.schemes.is_empty() {
+            &default_schemes
+        } else {
+            &spec.schemes
+        };
+        let default_budgets = [ErrorBudget {
+            logical: 1e-3 / 3.0,
+            t_states: 1e-3 / 3.0,
+            rotations: 1e-3 / 3.0,
+        }];
+        let budgets: &[ErrorBudget] = if spec.budgets.is_empty() {
+            &default_budgets
+        } else {
+            &spec.budgets
+        };
+        let default_constraints = [Constraints::default()];
+        let constraints: &[Constraints] = if spec.constraints.is_empty() {
+            &default_constraints
+        } else {
+            &spec.constraints
+        };
+
+        let total = spec.checked_total_len()?;
+        let range = match spec.shard {
+            Some(shard) => shard.range(total),
+            None => 0..total,
+        };
+        let mut next_index = 0usize;
+        let mut items = Vec::with_capacity(range.len());
+        for (workload, counts) in &spec.workloads {
+            for qubit in &spec.profiles {
+                for scheme_axis in schemes {
+                    let resolved = qubit.validate().and_then(|()| scheme_axis.resolve(qubit));
+                    for budget in budgets {
+                        for constraint in constraints {
+                            let index = next_index;
+                            next_index += 1;
+                            if !range.contains(&index) {
+                                continue;
+                            }
+                            let point = SweepPoint {
+                                index,
+                                workload: workload.clone(),
+                                profile: qubit.name.clone(),
+                                scheme: resolved
+                                    .as_ref()
+                                    .map(|s| s.name.clone())
+                                    .unwrap_or_else(|_| scheme_axis.label()),
+                                budget: *budget,
+                                constraints: *constraint,
+                            };
+                            let estimation = resolved
+                                .clone()
+                                .and_then(|scheme| validated_budget(budget).map(|b| (scheme, b)))
+                                .map(|(scheme, budget)| EstimateRequest {
+                                    counts: *counts,
+                                    qubit: qubit.clone(),
+                                    scheme,
+                                    budget,
+                                    constraints: *constraint,
+                                    factory_builder: spec.factory_builder.clone(),
+                                });
+                            items.push((point, estimation));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(items)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Building each item from its global index gives, for every index the
+    /// spec runs, the point and the request (or the error text) the
+    /// nested loops give, and the spec runs exactly the loops' indices:
+    /// over every axis, failing cells and budgets, and shards. No item is
+    /// estimated.
+    #[test]
+    fn index_built_items_equal_the_nested_loops(spec in arb_every_axis_sweep_spec()) {
+        let want = reference::expand(&spec).unwrap();
+        let items = spec.items().unwrap();
+        prop_assert_eq!(
+            items.range.clone().collect::<Vec<_>>(),
+            want.iter().map(|(point, _)| point.index).collect::<Vec<_>>()
+        );
+        for (want_point, want_request) in &want {
+            let (point, request) = items.item(want_point.index);
+            prop_assert_eq!(format!("{point:?}"), format!("{want_point:?}"));
+            match (&request, want_request) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(format!("{got:?}"), format!("{want:?}")),
+                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => prop_assert!(
+                    false,
+                    "item {} built ok={}, the loops ok={}",
+                    point.index,
+                    got.is_ok(),
+                    want.is_ok()
+                ),
+            }
+        }
+    }
+}
+
 /// One random distillation unit: integer-coefficient formulas in the paper's
 /// shape (`a·e_in + b·p` failure, `c·e_inᵖ + d·p` output), optional
 /// physical/logical specs (either may be absent), multi-output yields, and
@@ -648,6 +776,48 @@ fn arb_sweep_spec() -> impl Strategy<Value = SweepSpec> {
             spec
         },
     )
+}
+
+/// Sweep specs over every axis, for the item-building law:
+/// [`arb_sweep_spec`]'s workloads and profiles, then 0–3 scheme-axis
+/// values (the profile default, surface, floquet — which fails on
+/// gate-based profiles — and a custom scheme), 0–3 budgets with an invalid
+/// total among them, 0–3 constraint sets, and an optional shard of 1–5.
+fn arb_every_axis_sweep_spec() -> impl Strategy<Value = SweepSpec> {
+    let custom = QecScheme {
+        name: "custom_surface".into(),
+        ..QecScheme::surface_code_gate_based()
+    };
+    let scheme = prop_oneof![
+        Just(SweepScheme::ProfileDefault),
+        Just(SweepScheme::Kind(QecSchemeKind::SurfaceCode)),
+        Just(SweepScheme::Kind(QecSchemeKind::FloquetCode)),
+        Just(SweepScheme::Custom(custom)),
+    ];
+    let total = prop_oneof![Just(1e-3), Just(1e-4), Just(2.0)];
+    let shard = prop_oneof![Just(None), (1usize..6, 0usize..5).prop_map(Some)];
+    (
+        arb_sweep_spec(),
+        prop::collection::vec(scheme, 0..4),
+        prop::collection::vec(total, 0..4),
+        prop::collection::vec(arb_constraints(), 0..4),
+        shard,
+    )
+        .prop_map(|(spec, schemes, totals, constraints, shard)| {
+            let mut spec = SweepSpec {
+                schemes,
+                budgets: Vec::new(),
+                constraints,
+                ..spec
+            };
+            for total in totals {
+                spec = spec.total_error_budget(total);
+            }
+            match shard {
+                Some((count, index)) => spec.shard_of(index % count, count).unwrap(),
+                None => spec,
+            }
+        })
 }
 
 /// Random snapshot `entries` arrays: structurally valid entries (the codec's

@@ -11,7 +11,8 @@
 //!   [`EstimateRequestBuilder`],
 //! * [`SweepSpec`] — declared axes (workloads × hardware profiles × QEC
 //!   schemes × error budgets × constraints) whose cartesian product the
-//!   engine expands in deterministic row-major order,
+//!   engine runs in deterministic row-major order, item by item from its
+//!   index, never as a list,
 //! * [`SweepPoint`] — the coordinates of one expanded sweep item, carried
 //!   alongside its outcome so callers can attribute results without
 //!   re-deriving the expansion order.
@@ -79,7 +80,6 @@ pub struct EstimateRequestBuilder {
     budget: Option<BudgetChoice>,
     constraints: Constraints,
     distillation_units: Option<Vec<DistillationUnit>>,
-    max_factory_rounds: Option<usize>,
 }
 
 impl EstimateRequestBuilder {
@@ -155,12 +155,6 @@ impl EstimateRequestBuilder {
         self
     }
 
-    /// Cap the number of distillation rounds.
-    pub fn max_factory_rounds(mut self, rounds: usize) -> Self {
-        self.max_factory_rounds = Some(rounds);
-        self
-    }
-
     /// Validate and assemble the request.
     pub fn build(self) -> Result<EstimateRequest> {
         let counts = self
@@ -188,20 +182,12 @@ impl EstimateRequestBuilder {
                 rotations,
             } => ErrorBudget::from_parts(logical, t_states, rotations)?,
         };
-        let mut factory_builder = TFactoryBuilder {
+        let factory_builder = TFactoryBuilder {
             units: self
                 .distillation_units
                 .unwrap_or_else(crate::tfactory::default_distillation_units),
             ..TFactoryBuilder::default()
         };
-        if let Some(rounds) = self.max_factory_rounds {
-            if rounds == 0 {
-                return Err(Error::InvalidInput(
-                    "maxFactoryRounds must be at least 1".into(),
-                ));
-            }
-            factory_builder.max_rounds = rounds;
-        }
         Ok(EstimateRequest {
             counts,
             qubit,
@@ -228,7 +214,7 @@ pub enum SweepScheme {
 impl SweepScheme {
     /// Resolve against a profile; errors (e.g. floquet on gate-based
     /// hardware) surface as the affected sweep item's outcome.
-    fn resolve(&self, qubit: &PhysicalQubit) -> Result<QecScheme> {
+    pub(crate) fn resolve(&self, qubit: &PhysicalQubit) -> Result<QecScheme> {
         match self {
             SweepScheme::ProfileDefault => {
                 let kind = match qubit.instruction_set {
@@ -243,7 +229,7 @@ impl SweepScheme {
     }
 
     /// Axis label used in [`SweepPoint`] when resolution fails.
-    fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             SweepScheme::ProfileDefault => "default".into(),
             SweepScheme::Kind(QecSchemeKind::SurfaceCode) => "surface_code".into(),
@@ -409,11 +395,11 @@ impl SweepSpec {
         self
     }
 
-    /// Append a total error budget (split in thirds). Invalid totals surface
-    /// as [`Error::InvalidInput`] when the sweep expands.
+    /// Append a total error budget (split in thirds). An invalid total
+    /// fails each item that uses it with [`Error::InvalidInput`].
     pub fn total_error_budget(mut self, total: f64) -> Self {
-        // Defer validation to expansion so the fluent chain stays infallible;
-        // encode the pending total as an even split.
+        // Defer validation to item building so the fluent chain stays
+        // infallible; encode the pending total as an even split.
         self.budgets.push(ErrorBudget {
             logical: total / 3.0,
             t_states: total / 3.0,
@@ -485,14 +471,14 @@ impl SweepSpec {
 
     /// Number of items the full cartesian product expands to, ignoring any
     /// shard restriction. Saturates at `usize::MAX` when the axis product
-    /// overflows; such a spec fails at expansion.
+    /// overflows; such a spec fails before any item runs.
     pub fn total_len(&self) -> usize {
         self.checked_total_len().unwrap_or(usize::MAX)
     }
 
     /// The axis product, or [`Error::InvalidInput`] naming the axis lengths
     /// when it overflows `usize`.
-    fn checked_total_len(&self) -> Result<usize> {
+    pub(crate) fn checked_total_len(&self) -> Result<usize> {
         let axes = [
             ("workloads", self.workloads.len()),
             ("profiles", self.profiles.len()),
@@ -519,14 +505,11 @@ impl SweepSpec {
         self.len() == 0
     }
 
-    /// Expand the cartesian product into per-item coordinates and assembled
-    /// requests. Item-level assembly failures (e.g. an incompatible
-    /// scheme/profile pairing) are reported in place; only an empty
-    /// mandatory axis, or an axis product that overflows `usize`, fails the
-    /// whole expansion before any item is assembled. A sharded spec expands
-    /// only its own contiguous block, with every [`SweepPoint`] keeping the
-    /// index it has in the full (unsharded) expansion.
-    pub(crate) fn expand(&self) -> Result<Vec<(SweepPoint, Result<EstimateRequest>)>> {
+    /// Check the sweep for running and resolve each (profile, scheme) cell
+    /// once. Only an empty mandatory axis, or an axis product that
+    /// overflows `usize`, fails the whole sweep, before any item is built;
+    /// [`SweepItems::item`] reports every other failure in place.
+    pub(crate) fn items(&self) -> Result<SweepItems<'_>> {
         if self.workloads.is_empty() {
             return Err(Error::InvalidInput(
                 "sweep needs at least one workload".into(),
@@ -537,83 +520,104 @@ impl SweepSpec {
                 "sweep needs at least one hardware profile".into(),
             ));
         }
-        let default_schemes = [SweepScheme::ProfileDefault];
-        let schemes: &[SweepScheme] = if self.schemes.is_empty() {
-            &default_schemes
-        } else {
-            &self.schemes
-        };
-        let default_budgets = [ErrorBudget {
-            logical: 1e-3 / 3.0,
-            t_states: 1e-3 / 3.0,
-            rotations: 1e-3 / 3.0,
-        }];
-        let budgets: &[ErrorBudget] = if self.budgets.is_empty() {
-            &default_budgets
-        } else {
-            &self.budgets
-        };
-        let default_constraints = [Constraints::default()];
-        let constraints: &[Constraints] = if self.constraints.is_empty() {
-            &default_constraints
-        } else {
-            &self.constraints
-        };
-
         let total = self.checked_total_len()?;
-        let range = match self.shard {
-            Some(shard) => shard.range(total),
-            None => 0..total,
+        let schemes = match self.schemes.as_slice() {
+            [] => &[SweepScheme::ProfileDefault],
+            schemes => schemes,
         };
-        let mut next_index = 0usize;
-        let mut items = Vec::with_capacity(range.len());
-        for (workload, counts) in &self.workloads {
-            for qubit in &self.profiles {
-                for scheme_axis in schemes {
-                    let resolved = qubit.validate().and_then(|()| scheme_axis.resolve(qubit));
-                    for budget in budgets {
-                        for constraint in constraints {
-                            let index = next_index;
-                            next_index += 1;
-                            if !range.contains(&index) {
-                                continue;
-                            }
-                            let point = SweepPoint {
-                                index,
-                                workload: workload.clone(),
-                                profile: qubit.name.clone(),
-                                scheme: resolved
-                                    .as_ref()
-                                    .map(|s| s.name.clone())
-                                    .unwrap_or_else(|_| scheme_axis.label()),
-                                budget: *budget,
-                                constraints: *constraint,
-                            };
-                            let estimation = resolved
-                                .clone()
-                                .and_then(|scheme| validated_budget(budget).map(|b| (scheme, b)))
-                                .map(|(scheme, budget)| EstimateRequest {
-                                    counts: *counts,
-                                    qubit: qubit.clone(),
-                                    scheme,
-                                    budget,
-                                    constraints: *constraint,
-                                    factory_builder: self.factory_builder.clone(),
-                                });
-                            items.push((point, estimation));
-                        }
-                    }
-                }
+        let mut cells = Vec::with_capacity(self.profiles.len() * schemes.len());
+        for qubit in &self.profiles {
+            for axis in schemes {
+                let scheme = qubit.validate().and_then(|()| axis.resolve(qubit));
+                let name = scheme
+                    .as_ref()
+                    .map_or_else(|_| axis.label(), |s| s.name.clone());
+                cells.push(SchemeCell {
+                    qubit,
+                    name,
+                    scheme,
+                });
             }
         }
-        Ok(items)
+        Ok(SweepItems {
+            spec: self,
+            cells,
+            range: self.shard.map_or(0..total, |shard| shard.range(total)),
+        })
     }
 }
 
-/// Re-validate a budget at expansion time (fluent setters defer validation).
-/// The total is checked first so a bad [`SweepSpec::total_error_budget`]
-/// value is reported as the total the caller passed, not as a derived part.
-fn validated_budget(budget: &ErrorBudget) -> Result<ErrorBudget> {
+/// A checked sweep as a function from global item index to item, with
+/// each (profile, scheme) cell resolved once, profile-major. No item list
+/// exists: the engine builds item `i` with [`SweepItems::item`] on the
+/// worker that estimates it.
+pub(crate) struct SweepItems<'a> {
+    spec: &'a SweepSpec,
+    cells: Vec<SchemeCell<'a>>,
+    /// The global indices this spec runs: its shard's block, or all.
+    pub(crate) range: std::ops::Range<usize>,
+}
+
+/// One (profile, scheme-axis value) cell of a sweep, resolved once; `name`
+/// is the axis label when resolution failed.
+struct SchemeCell<'a> {
+    qubit: &'a PhysicalQubit,
+    name: String,
+    scheme: Result<QecScheme>,
+}
+
+/// The budget of a sweep with no budget axis: 10⁻³ split in thirds.
+const DEFAULT_BUDGET: ErrorBudget = ErrorBudget {
+    logical: 1e-3 / 3.0,
+    t_states: 1e-3 / 3.0,
+    rotations: 1e-3 / 3.0,
+};
+
+impl SweepItems<'_> {
+    /// Item `index` of the row-major expansion (workloads outermost, then
+    /// profiles, schemes and budgets, constraints innermost): its
+    /// coordinates, and its request or the error that fails it alone.
+    pub(crate) fn item(&self, index: usize) -> (SweepPoint, Result<EstimateRequest>) {
+        let (rest, constraints) = split(index, &self.spec.constraints, Constraints::default());
+        let (rest, budget) = split(rest, &self.spec.budgets, DEFAULT_BUDGET);
+        let cell = &self.cells[rest % self.cells.len()];
+        let (workload, counts) = &self.spec.workloads[rest / self.cells.len()];
+        let point = SweepPoint {
+            index,
+            workload: workload.clone(),
+            profile: cell.qubit.name.clone(),
+            scheme: cell.name.clone(),
+            budget,
+            constraints,
+        };
+        let request = cell.scheme.clone().and_then(|scheme| {
+            Ok(EstimateRequest {
+                counts: *counts,
+                qubit: cell.qubit.clone(),
+                scheme,
+                budget: validated_budget(&budget)?,
+                constraints,
+                factory_builder: self.spec.factory_builder.clone(),
+            })
+        });
+        (point, request)
+    }
+}
+
+/// Split a row-major index at its innermost axis (an unset axis holds only
+/// `neutral`): the index over the outer axes, and this axis's value.
+fn split<T: Copy>(index: usize, axis: &[T], neutral: T) -> (usize, T) {
+    match axis.len() {
+        0 => (index, neutral),
+        len => (index / len, axis[index % len]),
+    }
+}
+
+/// Re-validate a budget as its item is built (fluent setters defer
+/// validation). The total is checked first so a bad
+/// [`SweepSpec::total_error_budget`] value is reported as the total the
+/// caller passed, not as a derived part.
+pub(crate) fn validated_budget(budget: &ErrorBudget) -> Result<ErrorBudget> {
     let total = budget.total();
     if !(total.is_finite() && total > 0.0 && total < 1.0) {
         return Err(Error::InvalidInput(format!(
@@ -653,6 +657,12 @@ mod tests {
         }
     }
 
+    /// Every item `spec` runs, each built from its index, in index order.
+    fn items(spec: &SweepSpec) -> Result<Vec<(SweepPoint, Result<EstimateRequest>)>> {
+        let items = spec.items()?;
+        Ok(items.range.clone().map(|index| items.item(index)).collect())
+    }
+
     #[test]
     fn expansion_is_row_major_and_complete() {
         let spec = SweepSpec::new()
@@ -665,7 +675,7 @@ mod tests {
             .total_error_budget(1e-3)
             .total_error_budget(1e-4);
         assert_eq!(spec.len(), 8);
-        let items = spec.expand().unwrap();
+        let items = items(&spec).unwrap();
         assert_eq!(items.len(), 8);
         // Workloads outermost, budgets inside profiles.
         assert_eq!(items[0].0.workload, "a");
@@ -689,7 +699,7 @@ mod tests {
             .workload("w", counts())
             .profile(PhysicalQubit::qubit_gate_ns_e3())
             .qec(QecSchemeKind::FloquetCode);
-        let items = spec.expand().unwrap();
+        let items = items(&spec).unwrap();
         assert_eq!(items.len(), 1);
         assert!(items[0].1.is_err());
         assert_eq!(items[0].0.scheme, "floquet_code");
@@ -697,12 +707,9 @@ mod tests {
 
     #[test]
     fn empty_mandatory_axes_are_rejected() {
-        assert!(SweepSpec::new().expand().is_err());
-        assert!(SweepSpec::new().workload("w", counts()).expand().is_err());
-        assert!(SweepSpec::new()
-            .profile(PhysicalQubit::qubit_gate_ns_e3())
-            .expand()
-            .is_err());
+        assert!(items(&SweepSpec::new()).is_err());
+        assert!(items(&SweepSpec::new().workload("w", counts())).is_err());
+        assert!(items(&SweepSpec::new().profile(PhysicalQubit::qubit_gate_ns_e3())).is_err());
     }
 
     #[test]
@@ -712,7 +719,7 @@ mod tests {
             .profile(PhysicalQubit::qubit_gate_ns_e3())
             .total_error_budget(1e-3)
             .total_error_budget(-1.0);
-        let items = spec.expand().unwrap();
+        let items = items(&spec).unwrap();
         assert_eq!(items.len(), 2);
         assert!(items[0].1.is_ok());
         assert!(items[1].1.is_err());
@@ -757,7 +764,7 @@ mod tests {
     fn sharded_expansion_keeps_global_indices_and_unions_to_the_whole() {
         let spec = multi_axis_spec();
         assert_eq!(spec.total_len(), 8);
-        let full = spec.expand().unwrap();
+        let full = items(&spec).unwrap();
 
         let shards = spec.shard(3).unwrap();
         assert_eq!(shards.len(), 3);
@@ -768,7 +775,7 @@ mod tests {
         let mut union: Vec<(SweepPoint, _)> = Vec::new();
         for shard in &shards {
             assert_eq!(shard.total_len(), 8, "total_len ignores the shard");
-            union.extend(shard.expand().unwrap());
+            union.extend(items(shard).unwrap());
         }
         union.sort_by_key(|(p, _)| p.index);
         assert_eq!(union.len(), full.len());
@@ -790,7 +797,7 @@ mod tests {
         assert_eq!(shards[0].len(), 1);
         for shard in &shards[1..] {
             assert!(shard.is_empty());
-            assert!(shard.expand().unwrap().is_empty());
+            assert!(items(shard).unwrap().is_empty());
         }
     }
 
@@ -931,19 +938,6 @@ mod tests {
         let r = crate::Estimator::new().estimate(&request).unwrap();
         assert_eq!(r.qec_scheme.name, "surface_code");
         assert_eq!(r.error_budget.rotations, 0.0);
-    }
-
-    #[test]
-    fn invalid_factory_rounds_rejected() {
-        let err = EstimateRequest::builder()
-            .counts(job_counts())
-            .profile(PhysicalQubit::qubit_gate_ns_e3())
-            .qec(QecSchemeKind::SurfaceCode)
-            .total_error_budget(1e-3)
-            .max_factory_rounds(0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidInput(_)));
     }
 
     #[test]

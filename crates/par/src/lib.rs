@@ -13,11 +13,13 @@
 //! * work distribution through a single shared atomic cursor (each worker
 //!   claims the next index; no work item is ever processed twice),
 //! * a single streamed execution core ([`parallel_map_streamed_until`])
-//!   that hands `(index, result)` pairs to a callback on the caller's
-//!   thread **as workers finish**, through one bounded queue, and lets the
-//!   callback stop the run early; the collecting entry point stitches
-//!   those pairs back into input order, so `parallel_map` is a drop-in
-//!   replacement for `iter().map().collect()`,
+//!   over an index range: each worker builds its item from the index it
+//!   claims, so no input list needs to exist, and `(index, result)` pairs
+//!   reach a callback on the caller's thread **as workers finish**, through
+//!   one bounded queue; the callback can stop the run early. The
+//!   collecting entry point maps a slice through it and stitches the pairs
+//!   back into input order, so `parallel_map` is a drop-in replacement for
+//!   `iter().map().collect()`,
 //! * a worker's own calls into this crate run sequentially, so nested
 //!   parallelism never oversubscribes the machine,
 //! * panics in workers propagate to the caller (the scope re-raises them on
@@ -31,6 +33,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Duration;
@@ -62,12 +65,13 @@ where
     // Collecting is streaming plus order restoration: place each delivered
     // pair at its recorded index.
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    parallel_map_streamed(
-        items,
-        |_, item| f(item),
+    parallel_map_streamed_until(
+        items.len(),
+        |i| f(&items[i]),
         |i, r| {
             debug_assert!(slots[i].is_none(), "index {i} produced twice");
             slots[i] = Some(r);
+            ControlFlow::Continue(())
         },
     );
     slots
@@ -82,30 +86,6 @@ thread_local! {
     /// the machine quadratically (e.g. a parallel batch whose items each
     /// fan out a frontier sweep).
     static IN_PARALLEL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// The streamed execution core: apply `f` to every element in parallel and
-/// hand `(index, result)` pairs to `on_item` **in completion order**, as
-/// workers finish.
-///
-/// `on_item` runs on the calling thread, so it may close over `&mut` state
-/// without synchronization. Delivery order is nondeterministic under
-/// parallel execution; the index identifies the originating element. With a
-/// single worker (tiny input, `QRE_THREADS=1`, single-core machine, or a
-/// nested call from inside another parallel worker) the loop degrades to a
-/// sequential in-order pass. Panics raised by `f` propagate to the caller
-/// after already-finished items have been delivered.
-pub fn parallel_map_streamed<T, R, F, G>(items: &[T], f: F, mut on_item: G)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    G: FnMut(usize, R),
-{
-    parallel_map_streamed_until(items, f, |i, r| {
-        on_item(i, r);
-        std::ops::ControlFlow::Continue(())
-    });
 }
 
 /// Bound on results queued between the parallel workers and the consuming
@@ -125,27 +105,37 @@ pub fn streamed_buffer_bound(threads: usize) -> usize {
     (threads * 2).max(8)
 }
 
-/// Like [`parallel_map_streamed`], but `on_item` can stop the run early by
-/// returning [`ControlFlow::Break`](std::ops::ControlFlow::Break): no
-/// further items are claimed, in-flight items finish undelivered, and the
-/// call returns once the workers have drained. This is the single execution
+/// The streamed execution core: compute `f(i)` for every index `i` in
+/// `0..n` in parallel and hand `(i, result)` pairs to `on_item` **in
+/// completion order**, as workers finish. This is the single execution
 /// core behind every map in this crate.
 ///
-/// Delivery is backpressured: at most [`streamed_buffer_bound`] results are
-/// queued ahead of `on_item`, so a slow consumer throttles the workers
-/// instead of ballooning memory with undelivered results.
-pub fn parallel_map_streamed_until<T, R, F, G>(items: &[T], f: F, mut on_item: G)
+/// `f` builds its item from the index on the worker that runs it, so no
+/// input list needs to exist; a slice maps as `|i| g(&items[i])`. `on_item`
+/// runs on the calling thread, so it may close over `&mut` state without
+/// synchronization. Delivery order is nondeterministic under parallel
+/// execution. With a single worker (tiny input, `QRE_THREADS=1`,
+/// single-core machine, or a nested call from inside another parallel
+/// worker) the loop degrades to a sequential in-order pass on the calling
+/// thread. Panics raised by `f` propagate to the caller after
+/// already-finished items have been delivered.
+///
+/// `on_item` can stop the run early by returning [`ControlFlow::Break`]:
+/// no further items are claimed, in-flight items finish undelivered, and
+/// the call returns once the workers have drained. Delivery is
+/// backpressured: at most [`streamed_buffer_bound`] results are queued
+/// ahead of `on_item`, so a slow consumer throttles the workers instead of
+/// ballooning memory with undelivered results.
+pub fn parallel_map_streamed_until<R, F, G>(n: usize, f: F, mut on_item: G)
 where
-    T: Sync,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    G: FnMut(usize, R) -> std::ops::ControlFlow<()>,
+    F: Fn(usize) -> R + Sync,
+    G: FnMut(usize, R) -> ControlFlow<()>,
 {
-    let n = items.len();
     let threads = max_threads().min(n);
     if threads <= 1 || IN_PARALLEL_WORKER.with(std::cell::Cell::get) {
-        for (i, t) in items.iter().enumerate() {
-            if on_item(i, f(i, t)).is_break() {
+        for i in 0..n {
+            if on_item(i, f(i)).is_break() {
                 return;
             }
         }
@@ -167,7 +157,7 @@ where
                     if i >= n {
                         break;
                     }
-                    if sender.send((i, f(i, &items[i]))).is_err() {
+                    if sender.send((i, f(i))).is_err() {
                         break;
                     }
                 }
@@ -446,9 +436,10 @@ mod tests {
     fn streamed_delivers_every_index_with_its_result() {
         let items: Vec<u64> = (0..257).collect();
         let mut seen = vec![false; items.len()];
-        parallel_map_streamed(
-            &items,
-            |i, &x| {
+        parallel_map_streamed_until(
+            items.len(),
+            |i| {
+                let x = items[i];
                 assert_eq!(i as u64, x);
                 x * 3
             },
@@ -456,6 +447,7 @@ mod tests {
                 assert!(!seen[i], "index {i} delivered twice");
                 seen[i] = true;
                 assert_eq!(r, items[i] * 3);
+                ControlFlow::Continue(())
             },
         );
         assert!(seen.iter().all(|&s| s));
@@ -469,15 +461,19 @@ mod tests {
         // completion order, not input order.
         let items: Vec<u64> = (0..64).collect();
         let mut order = Vec::new();
-        parallel_map_streamed(
-            &items,
-            |_, &x| {
+        parallel_map_streamed_until(
+            items.len(),
+            |i| {
+                let x = items[i];
                 if x == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(100));
                 }
                 x
             },
-            |i, _| order.push(i),
+            |i, _| {
+                order.push(i);
+                ControlFlow::Continue(())
+            },
         );
         assert_eq!(order.len(), 64);
         if max_threads() > 1 {
@@ -492,7 +488,14 @@ mod tests {
         let ok = parallel_map(&outer, |&x| {
             let inner: Vec<u64> = (0..32).collect();
             let mut order = Vec::new();
-            parallel_map_streamed(&inner, |_, &y| x + y, |i, _| order.push(i));
+            parallel_map_streamed_until(
+                inner.len(),
+                |i| x + inner[i],
+                |i, _| {
+                    order.push(i);
+                    ControlFlow::Continue(())
+                },
+            );
             order == (0..32).collect::<Vec<usize>>()
         });
         assert!(ok.into_iter().all(|b| b));
@@ -504,8 +507,9 @@ mod tests {
         let items: Vec<u64> = (0..256).collect();
         let mut delivered = 0usize;
         parallel_map_streamed_until(
-            &items,
-            |_, &x| {
+            items.len(),
+            |i| {
+                let x = items[i];
                 processed.fetch_add(1, Ordering::Relaxed);
                 // Slow items keep the in-flight window small, so the break
                 // lands before the workers can drain the whole input.
@@ -514,7 +518,7 @@ mod tests {
             },
             |_, _| {
                 delivered += 1;
-                std::ops::ControlFlow::Break(())
+                ControlFlow::Break(())
             },
         );
         assert_eq!(delivered, 1, "no delivery after the break");
@@ -528,15 +532,16 @@ mod tests {
     #[should_panic(expected = "streamed boom")]
     fn streamed_panics_propagate() {
         let items: Vec<u64> = (0..128).collect();
-        parallel_map_streamed(
-            &items,
-            |_, &x| {
+        parallel_map_streamed_until(
+            items.len(),
+            |i| {
+                let x = items[i];
                 if x == 99 {
                     panic!("streamed boom");
                 }
                 x
             },
-            |_, _| {},
+            |_, _| ControlFlow::Continue(()),
         );
     }
 
@@ -630,11 +635,11 @@ mod tests {
         let mut delivered = 0usize;
         let threads = max_threads().min(n);
         let mut stalled_high_water = 0usize;
-        parallel_map_streamed(
-            &items,
-            |_, &x| {
+        parallel_map_streamed_until(
+            items.len(),
+            |i| {
                 produced.fetch_add(1, Ordering::Relaxed);
-                x
+                items[i]
             },
             |_, _| {
                 if first {
@@ -643,6 +648,7 @@ mod tests {
                     stalled_high_water = produced.load(Ordering::Relaxed);
                 }
                 delivered += 1;
+                ControlFlow::Continue(())
             },
         );
         assert_eq!(delivered, n, "backpressure must not lose deliveries");

@@ -1,14 +1,24 @@
-//! Rendering a result record allocates nothing.
+//! Rendering a result record allocates nothing, and a sweep's memory does
+//! not grow with its item count.
 //!
 //! A counting global allocator, switched on per thread, counts the
-//! allocations `EstimationResult::write_json` makes while it writes a warm
-//! estimate's record into a buffer that already has room. The count is
-//! exact, so this pins what a timing could not: the byte renderer builds no
-//! `Value` tree and no temporary string on the way. The single test keeps
-//! this binary's allocator state to one thread of interest.
+//! allocations made on the thread of interest. The counts are exact, so
+//! these pin what a timing could not:
+//!
+//! * `EstimationResult::write_json`, writing a warm estimate's record into
+//!   a buffer that already has room, builds no `Value` tree and no
+//!   temporary string on the way;
+//! * a sweep builds each item from its index on the worker that runs it,
+//!   so the calling thread of a 10,080-item sweep that stops after its
+//!   first outcome allocates a bounded amount, not one item list.
+//!
+//! Counting is off on every thread that did not ask, so each test sees
+//! only its own thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+use std::ops::ControlFlow;
 
 use qre::circuit::LogicalCounts;
 use qre::estimator::{EstimateRequest, Estimator, HardwareProfile, QecSchemeKind};
@@ -131,4 +141,37 @@ fn a_warm_record_renders_into_a_buffer_with_room_without_allocating() {
         assert!(value_path > 0, "the counter counts nothing");
     }
     assert_eq!(shapes, (true, true), "both record shapes rendered");
+}
+
+#[test]
+fn a_sweep_that_stops_at_its_first_outcome_allocates_a_bounded_amount() {
+    let spec = qre_cli::stress_spec(10_000);
+    assert_eq!(spec.len(), 10_080);
+    let first_outcome = |engine: &Estimator| {
+        let mut delivered = 0;
+        engine
+            .sweep_until(
+                &spec,
+                |o| o.outcome.is_ok(),
+                |ok| {
+                    assert!(ok, "a stress item failed");
+                    delivered += 1;
+                    ControlFlow::Break(())
+                },
+            )
+            .unwrap();
+        assert_eq!(delivered, 1);
+    };
+    // Warm the items a sweep reaches first, so an item the calling thread
+    // runs itself (one worker) is a cache hit.
+    let engine = Estimator::new();
+    first_outcome(&engine);
+    // Building the item list up front costs about 69 allocations an item
+    // here; a few hundred cover spawning the workers, the delivery queue
+    // and one warm item run inline.
+    let allocations = allocations_during(|| first_outcome(&engine));
+    assert!(
+        allocations < 1_000,
+        "the calling thread made {allocations} allocations"
+    );
 }
