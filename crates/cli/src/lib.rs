@@ -45,12 +45,12 @@
 //!
 //! Batches and sweeps execute in parallel through one [`qre_core::Estimator`]
 //! engine (shared T-factory cache); failing items report their error in
-//! place instead of failing the submission. Unknown top-level fields are
-//! rejected with an error naming the field and the accepted set, so typos
-//! like `"errorBudgets"` in a single job never pass silently.
+//! place instead of failing the submission. Unknown fields are rejected
+//! naming the field and the accepted set, and mistyped ones naming the type
+//! they must have, so typos like `"errorBudgets"` never pass silently.
 //!
-//! Any submission may set top-level `"stream": true` to emit **NDJSON**
-//! instead of one monolithic document ([`run_submission_streamed`]): one
+//! A submission writes one JSON document ([`write_submission`]) or, with
+//! top-level `"stream": true`, **NDJSON** ([`run_submission_streamed`]): one
 //! JSON object per finished item, written in completion order as workers
 //! finish (each record carries its `index` in submission/expansion order),
 //! interleaved with periodic `{"progress": k, "total": n}` records — the
@@ -85,6 +85,7 @@ pub use serve::{
 };
 pub use stress::{stress_job_line, stress_spec, write_stress_jobs, StressShape, StressSummary};
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -96,7 +97,7 @@ use qre_core::{
     Constraints, ErrorBudget, EstimateRequest, EstimationResult, Estimator, FrontierPoint,
     PartitionSearch, PhysicalQubit, QecSchemeKind, SweepOutcome, SweepScheme, SweepSpec,
 };
-use qre_json::{Emitter, ObjectBuilder, Value};
+use qre_json::{Emitter, Indenter, ObjectBuilder, Value};
 
 /// Parsed job specification.
 #[derive(Debug)]
@@ -202,39 +203,10 @@ pub fn parse_submission_value(doc: &Value) -> Result<Submission, String> {
     Ok(Submission { stream, kind })
 }
 
-/// Render one finished sweep item — its axis coordinates plus the result or
-/// in-place error — as a JSON object: an entry of the monolithic sweep
-/// document. The streamed and serve records are its bytes, written by
-/// [`emit_sweep_item`].
-pub(crate) fn sweep_item_json(o: &SweepOutcome) -> Value {
-    let c = &o.point.constraints;
-    let constraints = ObjectBuilder::new()
-        .field_opt("logicalDepthFactor", c.logical_depth_factor)
-        .field_opt("maxTFactories", c.max_t_factories)
-        .field_opt("maxDurationNs", c.max_duration_ns)
-        .field_opt("maxPhysicalQubits", c.max_physical_qubits)
-        .build();
-    let base = ObjectBuilder::new()
-        .field("index", o.point.index as u64)
-        .field("workload", o.point.workload.as_str())
-        .field("profile", o.point.profile.as_str())
-        .field("qecScheme", o.point.scheme.as_str())
-        .field("errorBudget", o.point.budget.total())
-        .field("constraints", constraints);
-    match &o.outcome {
-        Ok(result) => base
-            .field("status", "success")
-            .field("result", result.to_json())
-            .build(),
-        Err(e) => base
-            .field("status", "error")
-            .field("message", e.to_string())
-            .build(),
-    }
-}
-
-/// Emit the fields of [`sweep_item_json`]'s object, in its order, into an
-/// object the caller has opened.
+/// Emit the fields of one finished sweep item's record — its axis
+/// coordinates plus the result or in-place error — into an object the
+/// caller has opened. The record is the same in every output: a sweep
+/// document's entry, a streamed record, a serve record.
 fn emit_sweep_item(w: &mut Emitter<'_>, o: &SweepOutcome) {
     let (p, c) = (&o.point, &o.point.constraints);
     w.field("index", p.index)
@@ -275,228 +247,133 @@ pub fn search_stats_json(engine: &Estimator) -> Value {
         .build()
 }
 
-/// Run a submission through `engine`: a single result object,
-/// `{"items": [...]}` for a batch, or `{"estimateType": "sweep", "items":
-/// [...]}` for a sweep. Batch and sweep items that fail estimation report
-/// their error in place instead of failing the whole submission. Ignores
-/// the submission's `stream` flag; callers honouring it use
-/// [`run_submission_streamed`]. The caller keeps the engine's cache and
-/// search counters after the run (the `--search-stats` flow) and may share
-/// one warm cache across submissions.
-pub fn run_submission(engine: &Estimator, submission: &Submission) -> Result<Value, String> {
-    match &submission.kind {
-        SubmissionKind::Single(spec) => run_job(engine, spec),
-        SubmissionKind::Batch(jobs) => {
-            // One parallel pass over the whole array; every item shares the
-            // engine's factory cache.
-            let items: Vec<Value> = qre_par::parallel_map(jobs, |spec| {
-                run_job(engine, spec).unwrap_or_else(error_object)
-            });
-            Ok(ObjectBuilder::new()
-                .field("status", "success")
-                .field("items", Value::Array(items))
-                .build())
-        }
-        SubmissionKind::Sweep(spec) => {
-            let outcomes = engine.sweep(spec).map_err(|e| e.to_string())?;
-            let items: Vec<Value> = outcomes.iter().map(sweep_item_json).collect();
-            Ok(ObjectBuilder::new()
-                .field("status", "success")
-                .field("estimateType", "sweep")
-                .field("items", Value::Array(items))
-                .build())
-        }
-    }
-}
-
-/// Most batch/sweep item results resident while [`write_submission`]
-/// emits a monolithic document.
+/// Write a submission's JSON document to `out`, pretty or `compact`, with a
+/// trailing newline: a single job's result object (or frontier document),
+/// `{"status": "success", "items": [...]}` for a batch, or `{"status":
+/// "success", "estimateType": "sweep", "items": [...]}` for a sweep. Items
+/// that fail report their error in place; a sweep that does not expand, or
+/// a failing single job, fails the submission with nothing written. Ignores
+/// the `stream` flag ([`run_submission_streamed`] honours it). The caller
+/// keeps the engine's cache and search counters (the `--search-stats` flow).
 ///
-/// This is the documented memory bound of the non-streamed delivery path:
-/// a 10k-item sweep document is *written* as one JSON value, but it is
-/// *executed* in chunks of at most this many items — each chunk's results
-/// are rendered, flushed into the output, and dropped before the next
-/// chunk runs — so resident results never scale with submission size.
-/// (The streamed paths are bounded separately and more tightly: the serve
-/// session engine and `"stream": true` delivery hold at most
-/// [`qre_par::streamed_buffer_bound`] undelivered results plus one
-/// in-flight item per worker.)
-pub const MONOLITHIC_CHUNK_ITEMS: usize = 512;
-
-/// Incremental writer for the monolithic `{..., "items": [...]}` document:
-/// emits the exact bytes of pretty/compact-printing the assembled value,
-/// one item at a time, so the document never has to exist in memory.
-struct ItemsDocWriter<'a> {
-    out: &'a mut dyn Write,
-    compact: bool,
-    total: usize,
-    written: usize,
-}
-
-impl<'a> ItemsDocWriter<'a> {
-    const IO: fn(std::io::Error) -> String = |e| format!("failed to write submission output: {e}");
-
-    /// Write the document head: the fixed leading fields plus the opening
-    /// of the `items` array sized for `total` entries.
-    fn open(
-        out: &'a mut dyn Write,
-        compact: bool,
-        head: &[(&str, &str)],
-        total: usize,
-    ) -> Result<Self, String> {
-        if compact {
-            write!(out, "{{").map_err(Self::IO)?;
-            for (k, v) in head {
-                write!(out, "\"{k}\":\"{v}\",").map_err(Self::IO)?;
-            }
-            write!(out, "\"items\":[").map_err(Self::IO)?;
-        } else {
-            writeln!(out, "{{").map_err(Self::IO)?;
-            for (k, v) in head {
-                writeln!(out, "  \"{k}\": \"{v}\",").map_err(Self::IO)?;
-            }
-            if total == 0 {
-                // The pretty printer renders an empty array compactly.
-                write!(out, "  \"items\": []").map_err(Self::IO)?;
-            } else {
-                writeln!(out, "  \"items\": [").map_err(Self::IO)?;
-            }
-        }
-        Ok(ItemsDocWriter {
-            out,
-            compact,
-            total,
-            written: 0,
-        })
-    }
-
-    fn item(&mut self, item: &Value) -> Result<(), String> {
-        self.written += 1;
-        if self.compact {
-            if self.written > 1 {
-                write!(self.out, ",").map_err(Self::IO)?;
-            }
-            write!(self.out, "{}", item.to_string_compact()).map_err(Self::IO)
-        } else {
-            let sep = if self.written < self.total { "," } else { "" };
-            writeln!(self.out, "    {}{sep}", item.to_string_pretty_indented(2)).map_err(Self::IO)
-        }
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.written != self.total {
-            return Err(format!(
-                "submission produced {} item(s), expected {}",
-                self.written, self.total
-            ));
-        }
-        if self.compact {
-            writeln!(self.out, "]}}").map_err(Self::IO)?;
-        } else if self.total == 0 {
-            writeln!(self.out, "\n}}").map_err(Self::IO)?;
-        } else {
-            writeln!(self.out, "  ]\n}}").map_err(Self::IO)?;
-        }
-        self.out.flush().map_err(Self::IO)
-    }
-}
-
-/// Write a submission's monolithic JSON document to `out` — byte-for-byte
-/// the pretty (or compact) rendering of [`run_submission`]'s value,
-/// plus a trailing newline — while executing batches and sweeps in bounded
-/// chunks of [`MONOLITHIC_CHUNK_ITEMS`] items.
-///
-/// This is the delivery path behind plain `qre <job.json>`: the document
-/// reaches the consumer as one JSON value, but at no point are more than a
-/// chunk's results resident, so a 10k-item non-streamed sweep costs the
-/// process a bounded amount of memory instead of the full result set.
-/// Chunking cannot change results: estimation is a pure function of each
-/// item's coordinates (the shared factory cache only accelerates repeats),
-/// so the chunked document is identical to the collected one.
+/// Each record is rendered once, on the worker that estimated it, and
+/// written as the next entry in submission order. A record that finishes
+/// ahead of an earlier one waits for it; no more of the document is held.
 pub fn write_submission(
     engine: &Estimator,
     submission: &Submission,
     out: &mut dyn Write,
     compact: bool,
 ) -> Result<(), String> {
-    write_submission_chunked(engine, submission, out, compact, MONOLITHIC_CHUNK_ITEMS)
+    let open = match &submission.kind {
+        SubmissionKind::Single(_) => "",
+        SubmissionKind::Batch(_) => r#"{"status":"success","items":["#,
+        SubmissionKind::Sweep(_) => r#"{"status":"success","estimateType":"sweep","items":["#,
+    };
+    let mut sink = DocumentSink::new(out, open, compact);
+    execute(engine, &submission.kind, false, &mut sink)?;
+    sink.finish()
 }
 
-/// [`write_submission`] with an explicit chunk size (tests shrink it to
-/// force multi-chunk execution on small submissions).
-fn write_submission_chunked(
-    engine: &Estimator,
-    submission: &Submission,
-    out: &mut dyn Write,
-    compact: bool,
-    chunk: usize,
-) -> Result<(), String> {
-    let chunk = chunk.max(1);
-    match &submission.kind {
-        SubmissionKind::Single(spec) => {
-            // One result: nothing to chunk.
-            let value = run_job(engine, spec)?;
-            let text = if compact {
-                value.to_string_compact()
-            } else {
-                value.to_string_pretty()
-            };
-            writeln!(out, "{text}").map_err(ItemsDocWriter::IO)?;
-            out.flush().map_err(ItemsDocWriter::IO)
+/// [`write_submission`]'s sink: each record as the next entry of one JSON
+/// document, in submission order.
+struct DocumentSink<'a> {
+    out: &'a mut dyn Write,
+    /// Lays the document out pretty; `None` writes it compact.
+    indenter: Option<Indenter>,
+    /// The document's text before its first entry, closed by `]}` after
+    /// its last; empty for a single job, whose one record is the document.
+    open: &'static str,
+    total: usize,
+    /// Entries written so far: the position of the next one.
+    written: usize,
+    /// Records that finished ahead of an earlier one, by position.
+    waiting: BTreeMap<usize, String>,
+    /// The text being written, laid out.
+    text: String,
+    /// The first write error; nothing is written after it.
+    error: Option<std::io::Error>,
+}
+
+impl<'a> DocumentSink<'a> {
+    fn new(out: &'a mut dyn Write, open: &'static str, compact: bool) -> Self {
+        DocumentSink {
+            out,
+            indenter: (!compact).then(Indenter::default),
+            open,
+            total: 0,
+            written: 0,
+            waiting: BTreeMap::new(),
+            text: String::new(),
+            error: None,
         }
-        SubmissionKind::Batch(jobs) => {
-            let mut doc = ItemsDocWriter::open(out, compact, &[("status", "success")], jobs.len())?;
-            for block in jobs.chunks(chunk) {
-                let items: Vec<Value> = qre_par::parallel_map(block, |spec| {
-                    run_job(engine, spec).unwrap_or_else(error_object)
-                });
-                for item in &items {
-                    doc.item(item)?;
-                }
+    }
+
+    /// Write the next pieces of the document's compact text, laid out;
+    /// `false` once a write has failed.
+    fn write(&mut self, pieces: &[&str]) -> bool {
+        for piece in pieces {
+            match &mut self.indenter {
+                Some(indenter) => indenter.write(piece, &mut self.text),
+                None => self.text.push_str(piece),
             }
-            doc.finish()
         }
-        SubmissionKind::Sweep(spec) => {
-            let total = spec.len();
-            let head = [("status", "success"), ("estimateType", "sweep")];
-            if spec.shard.is_some() {
-                // A library caller that passes an already-sharded spec has
-                // bounded the block itself; run it as one chunk.
-                let outcomes = engine.sweep(spec).map_err(|e| e.to_string())?;
-                let mut doc = ItemsDocWriter::open(out, compact, &head, total)?;
-                for o in &outcomes {
-                    doc.item(&sweep_item_json(o))?;
-                }
-                return doc.finish();
-            }
-            let blocks = total.div_ceil(chunk).max(1);
-            // Run the first block before emitting any output: expansion
-            // errors (an empty mandatory axis) are spec-global, so they
-            // either fail here — with stdout untouched, exactly like the
-            // collecting path — or nowhere.
-            let first = engine
-                .sweep(
-                    &spec
-                        .clone()
-                        .shard_of(0, blocks)
-                        .map_err(|e| e.to_string())?,
-                )
-                .map_err(|e| e.to_string())?;
-            let mut doc = ItemsDocWriter::open(out, compact, &head, total)?;
-            for o in &first {
-                doc.item(&sweep_item_json(o))?;
-            }
-            for i in 1..blocks {
-                let block = spec
-                    .clone()
-                    .shard_of(i, blocks)
-                    .map_err(|e| e.to_string())?;
-                for o in &engine.sweep(&block).map_err(|e| e.to_string())? {
-                    doc.item(&sweep_item_json(o))?;
-                }
-            }
-            doc.finish()
+        self.error = self.out.write_all(self.text.as_bytes()).err();
+        self.text.clear();
+        self.error.is_none()
+    }
+
+    /// Close the document: its opening if it has no entry, then `]}` and
+    /// the trailing newline. `Err` names the first write error, or a count
+    /// of entries that does not match the submission.
+    fn finish(mut self) -> Result<(), String> {
+        if self.error.is_none() && self.written != self.total {
+            return Err(format!(
+                "submission produced {} item(s), expected {}",
+                self.written, self.total
+            ));
         }
+        let open = if self.written == 0 { self.open } else { "" };
+        let close = if self.open.is_empty() { "\n" } else { "]}\n" };
+        if self.error.is_none() && self.write(&[open, close]) {
+            self.error = self.out.flush().err();
+        }
+        match self.error {
+            Some(e) => Err(format!("failed to write submission output: {e}")),
+            None => Ok(()),
+        }
+    }
+}
+
+impl ItemSink for DocumentSink<'_> {
+    const BATCH_INDEX: bool = false;
+
+    fn total(&mut self, total: usize) {
+        self.total = total;
+    }
+
+    fn item(&mut self, position: usize, line: String, _failed: bool) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        if position != self.written {
+            self.waiting.insert(position, line);
+            return true;
+        }
+        let mut next = Some(line);
+        while let Some(line) = next {
+            let before = if self.written == 0 { self.open } else { "," };
+            if !self.write(&[before, line.strip_suffix('\n').unwrap_or(&line)]) {
+                return false;
+            }
+            self.written += 1;
+            next = self.waiting.remove(&self.written);
+        }
+        true
+    }
+
+    fn single_failed(&mut self, message: String) -> Result<(), String> {
+        Err(message)
     }
 }
 
@@ -596,8 +473,14 @@ impl<W: Write> RecordWriter<W> {
 
 /// Where [`execute`] hands a submission's records: a serve job opens each
 /// with its job envelope and tallies its `"stats"` record, the one-shot
-/// stream interleaves progress records.
+/// stream interleaves progress records, and the one-shot document puts
+/// them in submission order.
 pub(crate) trait ItemSink {
+    /// Whether a batch record carries its item's `"index"`: a record stream
+    /// needs it to match each record to its job, while a document lists its
+    /// entries in submission order.
+    const BATCH_INDEX: bool = true;
+
     /// The opening of every item record: `{`, or `{` plus fields of the
     /// sink's own and a trailing comma (a serve job's `{"job":<id>,`).
     fn head(&self) -> &str {
@@ -608,10 +491,12 @@ pub(crate) trait ItemSink {
     fn total(&mut self, _total: usize) {}
 
     /// Deliver one item record, rendered as one line behind
-    /// [`ItemSink::head`] with its newline; `failed` marks an item that
-    /// failed in place. `false` once the consumer is gone: execution stops
-    /// claiming items.
-    fn item(&mut self, line: &str, failed: bool) -> bool;
+    /// [`ItemSink::head`] with its newline. `position` is the record's
+    /// place in the submission: a batch item's index, a sweep item's index
+    /// counted from its shard's first item, a frontier point's index, or 0
+    /// for a single job. `failed` marks an item that failed in place.
+    /// `false` once the consumer is gone: execution stops claiming items.
+    fn item(&mut self, position: usize, line: String, failed: bool) -> bool;
 
     /// A single job failed. The one-shot CLI fails the submission (`Err`);
     /// a serve session reports the failure in place and keeps serving.
@@ -647,9 +532,10 @@ pub(crate) fn record_line(head: &str, fields: impl FnOnce(&mut Emitter<'_>)) -> 
     line
 }
 
-/// Hand one rendered record to `sink`; `Break` once its consumer is gone.
-fn deliver(sink: &mut impl ItemSink, line: &str, failed: bool) -> ControlFlow<()> {
-    if sink.item(line, failed) {
+/// Hand one rendered record, at its position, to `sink`; `Break` once its
+/// consumer is gone.
+fn deliver(sink: &mut impl ItemSink, (at, line, failed): (usize, String, bool)) -> ControlFlow<()> {
+    if sink.item(at, line, failed) {
         ControlFlow::Continue(())
     } else {
         ControlFlow::Break(())
@@ -657,23 +543,24 @@ fn deliver(sink: &mut impl ItemSink, line: &str, failed: bool) -> ControlFlow<()
 }
 
 /// Execute a submission's payload, handing each record to `sink` in
-/// completion order: batch records are [`run_submission`]'s entries plus
-/// an `index` field, sweep records carry theirs natively, and failing
-/// batch/sweep items report their error in place. With `stream`, a
-/// frontier job delivers one record per Pareto point (the monolithic
-/// document's `frontier` entries plus an `index`) instead of one document.
-/// `Err` fails the whole submission: a sweep that does not expand, or a
-/// failed single job the sink passes on. When the sink reports a dead
-/// consumer, execution stops after the in-flight items.
+/// completion order, with its position in the submission: batch records
+/// are the job documents, with an `index` field if the sink asks for one
+/// ([`ItemSink::BATCH_INDEX`]), sweep records carry their index natively,
+/// and failing batch/sweep items report their error in place. With
+/// `stream`, a frontier job delivers one record per Pareto point (the
+/// frontier document's `frontier` entries plus an `index`) instead of one
+/// document. `Err` fails the whole submission: a sweep that does not
+/// expand, or a failed single job the sink passes on. When the sink
+/// reports a dead consumer, execution stops after the in-flight items.
 ///
 /// Records are rendered straight to their bytes, with no [`Value`] on the
 /// way: batch and sweep records on the worker that ran the item, single
 /// and frontier records on the calling thread.
-pub(crate) fn execute(
+pub(crate) fn execute<S: ItemSink>(
     engine: &Estimator,
     kind: &SubmissionKind,
     stream: bool,
-    sink: &mut impl ItemSink,
+    sink: &mut S,
 ) -> Result<(), String> {
     let head = sink.head().to_owned();
     let head = head.as_str();
@@ -689,7 +576,7 @@ pub(crate) fn execute(
                     w.field("index", i);
                     emit_frontier_point(w, p);
                 });
-                if !sink.item(&line, false) {
+                if !sink.item(i, line, false) {
                     break;
                 }
             }
@@ -697,7 +584,7 @@ pub(crate) fn execute(
         SubmissionKind::Single(spec) => match JobOutput::run(engine, spec) {
             Ok(job) => {
                 sink.total(1);
-                sink.item(&record_line(head, |w| job.emit_fields(w)), false);
+                sink.item(0, record_line(head, |w| job.emit_fields(w)), false);
             }
             Err(e) => return sink.single_failed(e),
         },
@@ -708,7 +595,9 @@ pub(crate) fn execute(
                 |index| {
                     let job = JobOutput::run(engine, &jobs[index]);
                     let line = record_line(head, |w| {
-                        w.field("index", index);
+                        if S::BATCH_INDEX {
+                            w.field("index", index);
+                        }
                         match &job {
                             Ok(job) => job.emit_fields(w),
                             Err(e) => emit_error(w, e),
@@ -716,19 +605,21 @@ pub(crate) fn execute(
                     });
                     (line, job.is_err())
                 },
-                |_, (line, failed)| deliver(sink, &line, failed),
+                |index, (line, failed)| deliver(sink, (index, line, failed)),
             );
         }
         SubmissionKind::Sweep(spec) => {
             sink.total(spec.len());
+            // Sweep points keep their global index; a shard's first is at 0.
+            let start = spec.shard.map_or(0, |s| s.range(spec.total_len()).start);
             engine
                 .sweep_until(
                     spec,
                     |o| {
                         let line = record_line(head, |w| emit_sweep_item(w, &o));
-                        (line, o.outcome.is_err())
+                        (o.point.index - start, line, o.outcome.is_err())
                     },
-                    |(line, failed)| deliver(sink, &line, failed),
+                    |record| deliver(sink, record),
                 )
                 .map_err(|e| e.to_string())?;
         }
@@ -760,8 +651,8 @@ impl ItemSink for NdjsonSink<'_> {
         self.total = total;
     }
 
-    fn item(&mut self, line: &str, _failed: bool) -> bool {
-        self.writer.write_line(line);
+    fn item(&mut self, _position: usize, line: String, _failed: bool) -> bool {
+        self.writer.write_line(&line);
         self.done += 1;
         // ~10 progress records per run, at least one per item batch.
         if self.done.is_multiple_of((self.total / 10).max(1)) && self.done != self.total {
@@ -778,14 +669,14 @@ impl ItemSink for NdjsonSink<'_> {
 /// Run a submission through `engine`, streaming NDJSON to `out`: one
 /// record per finished item **in completion order** (each record's `index`
 /// names its submission/expansion position) plus periodic `{"progress": k,
-/// "total": n}` records and a final one. Sweep records are field-for-field
-/// identical to the corresponding entries of [`run_submission`]'s
-/// monolithic document, and batch records are those entries plus an
-/// `index` field; failing batch/sweep items report their error in place. A
-/// failing *single* job returns `Err`, exactly as in [`run_submission`],
-/// so exit codes do not depend on the delivery mode. A streamed *frontier*
-/// job emits one record per Pareto point (the monolithic document's
-/// `frontier` entries plus an `index` field) instead of one document.
+/// "total": n}` records and a final one. Sweep records are byte-for-byte
+/// the entries of [`write_submission`]'s compact document, and batch
+/// records are those entries behind an `index` field; failing batch/sweep
+/// items report their error in place. A failing *single* job returns
+/// `Err`, exactly as in [`write_submission`], so exit codes do not depend
+/// on the delivery mode. A streamed *frontier* job emits one record per
+/// Pareto point (the frontier document's `frontier` entries plus an
+/// `index` field) instead of one document.
 pub fn run_submission_streamed(
     engine: &Estimator,
     submission: &Submission,
@@ -867,10 +758,11 @@ pub fn parse_job_value(doc: &Value) -> Result<JobSpec, String> {
         }
     }
 
-    let frontier = match doc.get("estimateType").and_then(Value::as_str) {
-        None | Some("single") => false,
-        Some("frontier") => true,
-        Some(other) => return Err(format!("unknown estimateType `{other}`")),
+    let frontier = match doc.get("estimateType").map(Value::as_str) {
+        None | Some(Some("single")) => false,
+        Some(Some("frontier")) => true,
+        Some(Some(other)) => return Err(format!("unknown estimateType `{other}`")),
+        Some(None) => return Err("`estimateType` must be a string".into()),
     };
 
     let search_partition = match doc.get("searchBudgetPartition") {
@@ -1009,14 +901,11 @@ fn parse_sweep(v: &Value) -> Result<SweepSpec, String> {
             .as_array()
             .ok_or("`sweep.qecSchemes` must be an array")?;
         for (i, s) in list.iter().enumerate() {
-            let scheme = match s.get("name").and_then(Value::as_str) {
-                Some("default") => SweepScheme::ProfileDefault,
-                Some("surface_code") => SweepScheme::Kind(QecSchemeKind::SurfaceCode),
-                Some("floquet_code") => SweepScheme::Kind(QecSchemeKind::FloquetCode),
-                Some(other) => {
-                    return Err(format!("qecSchemes[{i}]: unknown QEC scheme `{other}`"))
-                }
-                None => return Err(format!("qecSchemes[{i}]: `qecScheme` requires a `name`")),
+            let scheme = match qec_scheme_name(s).map_err(|e| format!("qecSchemes[{i}]: {e}"))? {
+                "default" => SweepScheme::ProfileDefault,
+                "surface_code" => SweepScheme::Kind(QecSchemeKind::SurfaceCode),
+                "floquet_code" => SweepScheme::Kind(QecSchemeKind::FloquetCode),
+                other => return Err(format!("qecSchemes[{i}]: unknown QEC scheme `{other}`")),
             };
             spec = spec.scheme(scheme);
         }
@@ -1067,11 +956,17 @@ fn algorithm_label(v: &Value, index: usize) -> String {
 }
 
 fn parse_algorithm(v: &Value) -> Result<LogicalCounts, String> {
+    if v.as_object().is_none() {
+        return Err("`algorithm` must be an object".into());
+    }
     check_fields(v, "algorithm", &["logicalCounts", "qir", "multiplication"])?;
     if let Some(counts) = v.get("logicalCounts") {
         return LogicalCounts::from_json(counts);
     }
-    if let Some(qir_text) = v.get("qir").and_then(Value::as_str) {
+    if let Some(qir_text) = v.get("qir") {
+        let qir_text = qir_text
+            .as_str()
+            .ok_or("`algorithm.qir` must be a string")?;
         let circuit = qir::parse_qir(qir_text).map_err(|e| e.to_string())?;
         let counts = circuit.counts();
         if counts.num_qubits == 0 {
@@ -1080,18 +975,24 @@ fn parse_algorithm(v: &Value) -> Result<LogicalCounts, String> {
         return Ok(counts);
     }
     if let Some(m) = v.get("multiplication") {
+        if m.as_object().is_none() {
+            return Err("`multiplication` must be an object".into());
+        }
         check_fields(m, "multiplication", &["algorithm", "bits"])?;
-        let alg = match m.get("algorithm").and_then(Value::as_str) {
-            Some("standard" | "schoolbook") => MulAlgorithm::Schoolbook,
-            Some("karatsuba") => MulAlgorithm::Karatsuba,
-            Some("windowed") => MulAlgorithm::Windowed,
-            Some(other) => return Err(format!("unknown multiplication algorithm `{other}`")),
+        let alg = match m.get("algorithm").map(Value::as_str) {
+            Some(Some("standard" | "schoolbook")) => MulAlgorithm::Schoolbook,
+            Some(Some("karatsuba")) => MulAlgorithm::Karatsuba,
+            Some(Some("windowed")) => MulAlgorithm::Windowed,
+            Some(Some(other)) => return Err(format!("unknown multiplication algorithm `{other}`")),
+            Some(None) => return Err("`multiplication.algorithm` must be a string".into()),
             None => return Err("multiplication requires an `algorithm` field".into()),
         };
-        let raw_bits = m
-            .get("bits")
-            .and_then(Value::as_u64)
-            .ok_or("multiplication requires integer `bits`")?;
+        let raw_bits = match m.get("bits") {
+            None => return Err("multiplication requires integer `bits`".into()),
+            Some(bits) => bits
+                .as_u64()
+                .ok_or("`multiplication.bits` must be a non-negative integer")?,
+        };
         // `try_into` instead of `as`: on 32-bit targets a u64 would silently
         // truncate before the range check, turning e.g. 2^32+64 into 64.
         let bits: usize = raw_bits
@@ -1131,10 +1032,11 @@ fn parse_qubit_params(v: Option<&Value>) -> Result<PhysicalQubit, String> {
             "idleError",
         ],
     )?;
-    let mut qubit = match v.get("name").and_then(Value::as_str) {
-        Some(name) => {
+    let mut qubit = match v.get("name").map(Value::as_str) {
+        Some(Some(name)) => {
             PhysicalQubit::by_name(name).ok_or_else(|| format!("unknown qubit profile `{name}`"))?
         }
+        Some(None) => return Err("`qubitParams.name` must be a string".into()),
         None => PhysicalQubit::qubit_gate_ns_e3(),
     };
     // Field overrides (Section IV-C.1: "customize a subset of the
@@ -1178,19 +1080,26 @@ fn parse_qec(v: Option<&Value>) -> Result<QecSchemeKind, String> {
     let Some(v) = v else {
         return Ok(QecSchemeKind::SurfaceCode);
     };
-    check_fields(v, "qecScheme", &["name"])?;
-    match v.get("name").and_then(Value::as_str) {
-        None => Err("`qecScheme` requires a `name`".into()),
-        Some("surface_code") => Ok(QecSchemeKind::SurfaceCode),
-        Some("floquet_code") => Ok(QecSchemeKind::FloquetCode),
-        Some(other) => Err(format!("unknown QEC scheme `{other}`")),
+    match qec_scheme_name(v)? {
+        "surface_code" => Ok(QecSchemeKind::SurfaceCode),
+        "floquet_code" => Ok(QecSchemeKind::FloquetCode),
+        other => Err(format!("unknown QEC scheme `{other}`")),
     }
 }
 
-/// Run a job specification through `engine`, producing the result JSON (a
-/// single result object, or a frontier array).
-pub fn run_job(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
-    JobOutput::run(engine, spec).map(|job| job.to_json())
+/// The `name` of a `qecScheme` object (a job's, or a sweep's scheme-axis
+/// entry), its only field.
+fn qec_scheme_name(v: &Value) -> Result<&str, String> {
+    if v.as_object().is_none() {
+        return Err("`qecScheme` must be an object".into());
+    }
+    check_fields(v, "qecScheme", &["name"])?;
+    match v.get("name") {
+        None => Err("`qecScheme` requires a `name`".into()),
+        Some(name) => name
+            .as_str()
+            .ok_or_else(|| "`qecScheme.name` must be a string".into()),
+    }
 }
 
 /// What one job produced: an estimate, or a frontier job's Pareto points.
@@ -1217,36 +1126,8 @@ impl JobOutput {
         }
     }
 
-    /// The job's document: the result object, or the frontier document.
-    fn to_json(&self) -> Value {
-        match self {
-            JobOutput::Estimate(result) => result.to_json(),
-            JobOutput::Frontier {
-                points,
-                search_partition,
-            } => {
-                let items: Vec<Value> = points
-                    .iter()
-                    .map(|p| {
-                        ObjectBuilder::new()
-                            .field("maxTFactories", p.max_t_factories)
-                            .field("errorBudget", p.budget.to_json())
-                            .field("result", p.result.to_json())
-                            .build()
-                    })
-                    .collect();
-                ObjectBuilder::new()
-                    .field("status", "success")
-                    .field("estimateType", "frontier")
-                    .field("searchBudgetPartition", *search_partition)
-                    .field("frontier", Value::Array(items))
-                    .build()
-            }
-        }
-    }
-
-    /// Emit the fields of [`JobOutput::to_json`]'s object, in its order,
-    /// into an object the caller has opened.
+    /// Emit the fields of the job's document — the result object, or the
+    /// frontier document — into an object the caller has opened.
     fn emit_fields(&self, w: &mut Emitter<'_>) {
         match self {
             JobOutput::Estimate(result) => result.emit_fields(w),
@@ -1304,6 +1185,118 @@ pub fn run_job_report(engine: &Estimator, spec: &JobSpec) -> Result<String, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reference::{run_job, run_submission};
+
+    /// The `Value`-tree builders that [`write_submission`] replaced, kept
+    /// verbatim: the reference that the document and the record streams
+    /// are held to.
+    mod reference {
+        use crate::*;
+
+        /// Render one finished sweep item — its axis coordinates plus the result or
+        /// in-place error — as a JSON object: an entry of the monolithic sweep
+        /// document. The streamed and serve records are its bytes, written by
+        /// [`emit_sweep_item`].
+        pub(crate) fn sweep_item_json(o: &SweepOutcome) -> Value {
+            let c = &o.point.constraints;
+            let constraints = ObjectBuilder::new()
+                .field_opt("logicalDepthFactor", c.logical_depth_factor)
+                .field_opt("maxTFactories", c.max_t_factories)
+                .field_opt("maxDurationNs", c.max_duration_ns)
+                .field_opt("maxPhysicalQubits", c.max_physical_qubits)
+                .build();
+            let base = ObjectBuilder::new()
+                .field("index", o.point.index as u64)
+                .field("workload", o.point.workload.as_str())
+                .field("profile", o.point.profile.as_str())
+                .field("qecScheme", o.point.scheme.as_str())
+                .field("errorBudget", o.point.budget.total())
+                .field("constraints", constraints);
+            match &o.outcome {
+                Ok(result) => base
+                    .field("status", "success")
+                    .field("result", result.to_json())
+                    .build(),
+                Err(e) => base
+                    .field("status", "error")
+                    .field("message", e.to_string())
+                    .build(),
+            }
+        }
+
+        /// Run a submission through `engine`: a single result object,
+        /// `{"items": [...]}` for a batch, or `{"estimateType": "sweep", "items":
+        /// [...]}` for a sweep. Batch and sweep items that fail estimation report
+        /// their error in place instead of failing the whole submission. Ignores
+        /// the submission's `stream` flag; callers honouring it use
+        /// [`run_submission_streamed`]. The caller keeps the engine's cache and
+        /// search counters after the run (the `--search-stats` flow) and may share
+        /// one warm cache across submissions.
+        pub fn run_submission(
+            engine: &Estimator,
+            submission: &Submission,
+        ) -> Result<Value, String> {
+            match &submission.kind {
+                SubmissionKind::Single(spec) => run_job(engine, spec),
+                SubmissionKind::Batch(jobs) => {
+                    // One parallel pass over the whole array; every item shares the
+                    // engine's factory cache.
+                    let items: Vec<Value> = qre_par::parallel_map(jobs, |spec| {
+                        run_job(engine, spec).unwrap_or_else(error_object)
+                    });
+                    Ok(ObjectBuilder::new()
+                        .field("status", "success")
+                        .field("items", Value::Array(items))
+                        .build())
+                }
+                SubmissionKind::Sweep(spec) => {
+                    let outcomes = engine.sweep(spec).map_err(|e| e.to_string())?;
+                    let items: Vec<Value> = outcomes.iter().map(sweep_item_json).collect();
+                    Ok(ObjectBuilder::new()
+                        .field("status", "success")
+                        .field("estimateType", "sweep")
+                        .field("items", Value::Array(items))
+                        .build())
+                }
+            }
+        }
+
+        /// Run a job specification through `engine`, producing the result JSON (a
+        /// single result object, or a frontier array).
+        pub fn run_job(engine: &Estimator, spec: &JobSpec) -> Result<Value, String> {
+            JobOutput::run(engine, spec).map(|job| job.to_json())
+        }
+
+        impl JobOutput {
+            /// The job's document: the result object, or the frontier document.
+            fn to_json(&self) -> Value {
+                match self {
+                    JobOutput::Estimate(result) => result.to_json(),
+                    JobOutput::Frontier {
+                        points,
+                        search_partition,
+                    } => {
+                        let items: Vec<Value> = points
+                            .iter()
+                            .map(|p| {
+                                ObjectBuilder::new()
+                                    .field("maxTFactories", p.max_t_factories)
+                                    .field("errorBudget", p.budget.to_json())
+                                    .field("result", p.result.to_json())
+                                    .build()
+                            })
+                            .collect();
+                        ObjectBuilder::new()
+                            .field("status", "success")
+                            .field("estimateType", "frontier")
+                            .field("searchBudgetPartition", *search_partition)
+                            .field("frontier", Value::Array(items))
+                            .build()
+                    }
+                }
+            }
+        }
+    }
 
     const COUNTS_JOB: &str = r#"{
         "algorithm": { "logicalCounts": { "numQubits": 100, "tCount": 50000, "cczCount": 1000, "measurementCount": 20000 } },
@@ -1625,6 +1618,49 @@ mod tests {
             "estimateType": "quantum"
         }"#;
         assert!(parse_job(bad_type).unwrap_err().contains("estimateType"));
+        // A field of the wrong type is named with the type it must have,
+        // never defaulted or reported missing.
+        for (field, want) in [
+            (r#""estimateType": 5"#, "`estimateType` must be a string"),
+            (r#""estimateType": null"#, "`estimateType` must be a string"),
+            (
+                r#""qubitParams": { "name": 5 }"#,
+                "`qubitParams.name` must be a string",
+            ),
+            (
+                r#""qecScheme": { "name": 5 }"#,
+                "`qecScheme.name` must be a string",
+            ),
+            (
+                r#""qecScheme": "surface_code""#,
+                "`qecScheme` must be an object",
+            ),
+        ] {
+            let job = format!(
+                r#"{{ "algorithm": {{ "logicalCounts": {{ "numQubits": 5 }} }}, {field} }}"#
+            );
+            let err = parse_job(&job).unwrap_err();
+            assert!(err.contains(want), "{field}: {err}");
+        }
+        for (algorithm, want) in [
+            (r#"{ "qir": 5 }"#, "`algorithm.qir` must be a string"),
+            (r#"5"#, "`algorithm` must be an object"),
+            (
+                r#"{ "multiplication": { "algorithm": 5, "bits": 64 } }"#,
+                "`multiplication.algorithm` must be a string",
+            ),
+            (
+                r#"{ "multiplication": { "algorithm": "windowed", "bits": "64" } }"#,
+                "`multiplication.bits` must be a non-negative integer",
+            ),
+            (
+                r#"{ "multiplication": 5 }"#,
+                "`multiplication` must be an object",
+            ),
+        ] {
+            let err = parse_job(&format!(r#"{{ "algorithm": {algorithm} }}"#)).unwrap_err();
+            assert!(err.contains(want), "{algorithm}: {err}");
+        }
     }
 
     #[test]
@@ -1730,6 +1766,18 @@ mod tests {
 
         let err = parse_submission(r#"{ "items": [], "extra": 1 }"#).unwrap_err();
         assert!(err.contains("extra"), "{err}");
+
+        // A sweep's scheme entries accept only the fields a job's
+        // `qecScheme` does.
+        let err = parse_submission(
+            r#"{ "sweep": { "algorithms": [ { "logicalCounts": { "numQubits": 2 } } ],
+                 "qecSchemes": [ { "name": "default", "nmae": 1 } ] } }"#,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("qecSchemes[0]") && err.contains("nmae") && err.contains("name"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2013,45 +2061,158 @@ mod tests {
     }
 
     #[test]
-    fn chunked_monolithic_writer_is_byte_identical_to_collecting() {
-        // The chunk-flushed document writer must emit the exact bytes of
-        // pretty/compact-printing the collected value (plus the trailing
-        // newline the CLI adds) — with a chunk size small enough that this
-        // sweep and batch genuinely cross chunk boundaries.
+    fn document_writer_is_byte_identical_to_collecting() {
+        // The document writer must emit the exact bytes of pretty/compact-
+        // printing the collected value (plus the trailing newline the CLI
+        // adds). The batch leads with a searched-frontier job, so later
+        // items finish first and wait for it.
         let sweep = r#"{ "sweep": {
             "algorithms": [ { "logicalCounts": { "numQubits": 20, "tCount": 2000 } } ],
             "errorBudgets": [ 1e-3, 1e-4 ]
         } }"#;
-        let batch = r#"{ "items": [
-            { "algorithm": { "logicalCounts": { "numQubits": 10, "tCount": 100 } } },
-            { "algorithm": { "logicalCounts": { "numQubits": 10, "tCount": 100 } },
-              "errorBudget": 1e-60 },
-            { "algorithm": { "logicalCounts": { "numQubits": 20, "tCount": 300 } } },
-            { "algorithm": { "logicalCounts": { "numQubits": 12, "tCount": 500 } } },
-            { "algorithm": { "logicalCounts": { "numQubits": 14, "tCount": 700 } } }
-        ] }"#;
+        let frontier = r#"{
+            "algorithm": { "logicalCounts": { "numQubits": 50, "tCount": 100000, "measurementCount": 1000 } },
+            "estimateType": "frontier", "searchBudgetPartition": true
+        }"#;
+        let batch = format!(
+            r#"{{ "items": [
+            {frontier},
+            {{ "algorithm": {{ "logicalCounts": {{ "numQubits": 10, "tCount": 100 }} }} }},
+            {{ "algorithm": {{ "logicalCounts": {{ "numQubits": 10, "tCount": 100 }} }},
+              "errorBudget": 1e-60 }},
+            {{ "algorithm": {{ "logicalCounts": {{ "numQubits": 20, "tCount": 300 }} }} }},
+            {{ "algorithm": {{ "logicalCounts": {{ "numQubits": 12, "tCount": 500 }} }} }},
+            {{ "algorithm": {{ "logicalCounts": {{ "numQubits": 14, "tCount": 700 }} }} }}
+        ] }}"#
+        );
         let single = r#"{ "algorithm": { "logicalCounts": { "numQubits": 5, "tCount": 10 } } }"#;
-        for text in [sweep, batch, single] {
-            let submission = parse_submission(text).unwrap();
-            let engine = Estimator::new();
-            let collected = run_submission(&engine, &submission).unwrap();
+        let mut submissions: Vec<Submission> = [sweep, &batch, single, frontier]
+            .into_iter()
+            .map(|text| parse_submission(text).unwrap())
+            .collect();
+        // One shard of the sweep, as a library caller may pass it: its
+        // document lists the shard's items, the first of them at 0.
+        let SubmissionKind::Sweep(spec) = parse_submission(sweep).unwrap().kind else {
+            unreachable!("a sweep");
+        };
+        submissions.push(Submission {
+            stream: false,
+            kind: SubmissionKind::Sweep(Box::new(spec.shard_of(1, 2).unwrap())),
+        });
+        for (i, submission) in submissions.iter().enumerate() {
+            let collected = run_submission(&Estimator::new(), submission).unwrap();
             for (compact, expected) in [
                 (false, format!("{}\n", collected.to_string_pretty())),
                 (true, format!("{}\n", collected.to_string_compact())),
             ] {
                 let mut bytes = Vec::new();
-                write_submission_chunked(&engine, &submission, &mut bytes, compact, 2).unwrap();
+                write_submission(&Estimator::new(), submission, &mut bytes, compact).unwrap();
                 assert_eq!(
                     String::from_utf8(bytes).unwrap(),
                     expected,
-                    "compact={compact} output diverges for {text}"
+                    "compact={compact} output diverges for submission {i}"
                 );
             }
         }
     }
 
     #[test]
-    fn chunked_writer_failures_leave_stdout_untouched() {
+    fn document_sink_writes_records_in_submission_order() {
+        // Records finishing 2, 0, 1: the first waits until 0 and 1 are out,
+        // and the document still lists them 0, 1, 2.
+        let records = [
+            "{\"index\":0,\"status\":\"success\"}\n",
+            "{\"index\":1,\"status\":\"error\",\"message\":\"no\"}\n",
+            "{\"index\":2,\"result\":{\"a\":[],\"b\":[1.5,{}]}}\n",
+        ];
+        let expected = ObjectBuilder::new()
+            .field("status", "success")
+            .field("estimateType", "sweep")
+            .field(
+                "items",
+                Value::Array(
+                    records
+                        .iter()
+                        .map(|r| qre_json::parse(r).unwrap())
+                        .collect(),
+                ),
+            )
+            .build();
+        for compact in [true, false] {
+            let mut bytes = Vec::new();
+            let open = r#"{"status":"success","estimateType":"sweep","items":["#;
+            let mut sink = DocumentSink::new(&mut bytes, open, compact);
+            sink.total(records.len());
+            assert!(sink.item(2, records[2].into(), false));
+            assert_eq!((sink.written, sink.waiting.len()), (0, 1), "2 waits for 0");
+            assert!(sink.item(0, records[0].into(), false));
+            assert_eq!(
+                (sink.written, sink.waiting.len()),
+                (1, 1),
+                "0 leaves, 2 waits"
+            );
+            assert!(sink.item(1, records[1].into(), false));
+            assert_eq!((sink.written, sink.waiting.len()), (3, 0), "1 and 2 leave");
+            sink.finish().unwrap();
+            let want = if compact {
+                expected.to_string_compact()
+            } else {
+                expected.to_string_pretty()
+            };
+            assert_eq!(String::from_utf8(bytes).unwrap(), want + "\n");
+        }
+    }
+
+    #[test]
+    fn document_writer_stops_estimating_once_its_output_fails() {
+        /// Fails every write, as a pipe whose reader has gone.
+        struct FailingWriter;
+        impl Write for FailingWriter {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // Distinct budgets: every item searches its own factory, one cache
+        // miss each. More items than the delivery queue and the workers
+        // hold at once, so a writer that stops at its first failure leaves
+        // some unestimated.
+        let threads = qre_par::max_threads();
+        let items = 64.max(qre_par::streamed_buffer_bound(threads) + 2 * threads + 2);
+        let mut spec = SweepSpec::new()
+            .workload(
+                "w",
+                LogicalCounts {
+                    num_qubits: 20,
+                    t_count: 2000,
+                    ..Default::default()
+                },
+            )
+            .profile(PhysicalQubit::qubit_gate_ns_e3());
+        for i in 0..items {
+            spec = spec.total_error_budget(1e-3 * (1.0 + i as f64 / items as f64));
+        }
+        let submission = Submission {
+            stream: false,
+            kind: SubmissionKind::Sweep(Box::new(spec)),
+        };
+        for compact in [true, false] {
+            let engine = Estimator::new();
+            let err =
+                write_submission(&engine, &submission, &mut FailingWriter, compact).unwrap_err();
+            assert!(err.contains("failed to write submission output"), "{err}");
+            let misses = engine.cache_stats().misses;
+            assert!(
+                misses < items as u64,
+                "{misses} of {items} items estimated after the output failed"
+            );
+        }
+    }
+
+    #[test]
+    fn document_writer_failures_leave_stdout_untouched() {
         // A sweep whose expansion fails must produce no partial document,
         // exactly like the collecting path.
         let spec = SweepSpec::new().profile(PhysicalQubit::qubit_gate_ns_e3());
@@ -2097,5 +2258,34 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("wormhole_code"), "{err}");
+        // Mistyped entries are rejected naming the entry and the type, not
+        // defaulted.
+        for (axis, want) in [
+            (
+                r#""qubitParams": [ { "name": true } ]"#,
+                "qubitParams[0]: `qubitParams.name` must be a string",
+            ),
+            (
+                r#""qecSchemes": [ { "name": 5 } ]"#,
+                "qecSchemes[0]: `qecScheme.name` must be a string",
+            ),
+            (
+                r#""qecSchemes": [ "default" ]"#,
+                "qecSchemes[0]: `qecScheme` must be an object",
+            ),
+        ] {
+            let sweep = format!(
+                r#"{{ "sweep": {{ "algorithms": [ {{ "logicalCounts": {{ "numQubits": 2 }} }} ],
+                     {axis} }} }}"#
+            );
+            let err = parse_submission(&sweep).unwrap_err();
+            assert!(err.contains(want), "{axis}: {err}");
+        }
+        let err =
+            parse_submission(r#"{ "sweep": { "algorithms": [ { "qir": 5 } ] } }"#).unwrap_err();
+        assert!(
+            err.contains("algorithms[0]: `algorithm.qir` must be a string"),
+            "{err}"
+        );
     }
 }

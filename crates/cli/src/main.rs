@@ -460,10 +460,9 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        // Chunk-flushed monolithic delivery: the document is one JSON
-        // value, but batches and sweeps execute in bounded chunks
-        // (qre_cli::MONOLITHIC_CHUNK_ITEMS results resident at most), so a
-        // 10k-item sweep never holds its full result set.
+        // One JSON document, written entry by entry in submission order as
+        // items finish: only records that finish ahead of an earlier one
+        // wait, so a 10k-item sweep never holds its full result set.
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
         let engine = qre_core::Estimator::new();

@@ -782,17 +782,17 @@ impl<W: Write> ItemSink for JobSink<'_, W> {
         &self.head
     }
 
-    fn item(&mut self, line: &str, failed: bool) -> bool {
+    fn item(&mut self, _position: usize, line: String, failed: bool) -> bool {
         self.items += 1;
         self.errors += usize::from(failed);
-        self.writer.write_line(line)
+        self.writer.write_line(&line)
     }
 
     /// Unlike the one-shot CLI, a failing single job must not end the
     /// session: report it in place and keep serving.
     fn single_failed(&mut self, message: String) -> Result<(), String> {
         let line = record_line(&self.head, |w| emit_error(w, &message));
-        self.item(&line, true);
+        self.item(0, line, true);
         Ok(())
     }
 }

@@ -14,6 +14,8 @@
 //! * [`Emitter`] — the compact printer without a [`Value`]: it writes a
 //!   document field by field straight into a `String`, allocating nothing,
 //!   with the printers' own number and string formats ([`Scalar`]),
+//! * [`Indenter`] — the pretty layout of compact text, fed in pieces, so a
+//!   document written entry by entry can be laid out as it goes,
 //! * [`ObjectBuilder`] — an order-preserving object builder, so emitted result
 //!   groups appear in the same order the paper lists them.
 //!
@@ -41,7 +43,7 @@ mod print;
 mod value;
 
 pub use parse::{parse, ParseError};
-pub use print::{Emitter, Scalar};
+pub use print::{Emitter, Indenter, Scalar};
 pub use value::{Number, ObjectBuilder, Value};
 
 // Property-based tests, on the in-repo `qre-proptest` harness (its library

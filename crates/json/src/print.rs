@@ -4,6 +4,9 @@
 //! every string the crate prints, in [`Value`]'s compact and pretty forms
 //! alike, goes through its [`Scalar`] formats, so a document written field
 //! by field is byte-identical to the printed `Value` of the same shape.
+//! [`Indenter`] is the one pretty layout: the pretty form of a `Value` is
+//! its compact text laid out, and a document written entry by entry is
+//! laid out the same way as it goes.
 //!
 //! Number output: integers, and integral floats below 1e15, are formatted
 //! here without `fmt` (the floats with a trailing `.0`, so they read back
@@ -313,44 +316,84 @@ pub(crate) fn write_compact(value: &Value, w: &mut Emitter<'_>) {
     }
 }
 
-pub(crate) fn write_pretty(value: &Value, indent: usize, out: &mut String) {
-    match value {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                push_indent(indent + 1, out);
-                write_pretty(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            push_indent(indent, out);
-            out.push(']');
-        }
-        Value::Object(pairs) if !pairs.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                push_indent(indent + 1, out);
-                write_string(k, out);
-                out.push_str(": ");
-                write_pretty(v, indent + 1, out);
-                if i + 1 < pairs.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            push_indent(indent, out);
-            out.push('}');
-        }
-        other => write_compact(other, &mut Emitter::new(out)),
-    }
+/// The pretty layout of compact JSON text (as [`Emitter`] writes it):
+/// two-space indentation, one element or field per line, `": "` after each
+/// key, and `[]` and `{}` kept whole. [`Value::to_string_pretty`] is this
+/// layout. The indenter keeps only its depth and whether it is inside a
+/// string, so the text may arrive cut anywhere between characters, and a
+/// large document can be written pretty one entry at a time.
+///
+/// ```
+/// let (mut indenter, mut out) = (qre_json::Indenter::default(), String::new());
+/// indenter.write(r#"{"a":[1,"#, &mut out);
+/// indenter.write(r#"2],"b":{}}"#, &mut out);
+/// assert_eq!(out, "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {}\n}");
+/// ```
+#[derive(Debug, Default)]
+pub struct Indenter {
+    depth: usize,
+    /// An array or object has just opened: its first element goes on a new
+    /// line, unless it closes at once.
+    opened: bool,
+    in_string: bool,
+    /// The previous character was a backslash inside a string.
+    escaped: bool,
 }
 
-#[inline]
-fn push_indent(level: usize, out: &mut String) {
-    for _ in 0..level {
-        out.push_str("  ");
+impl Indenter {
+    /// Lay out the next piece of compact text, appending it to `out`.
+    pub fn write(&mut self, compact: &str, out: &mut String) {
+        // Runs between structural characters are copied whole. Every
+        // character examined is ASCII, so each cut is a char boundary.
+        let mut run = 0;
+        for (i, &byte) in compact.as_bytes().iter().enumerate() {
+            if self.in_string {
+                match byte {
+                    _ if self.escaped => self.escaped = false,
+                    b'\\' => self.escaped = true,
+                    b'"' => self.in_string = false,
+                    _ => {}
+                }
+                continue;
+            }
+            let close = matches!(byte, b']' | b'}');
+            if close {
+                self.depth = self.depth.saturating_sub(1);
+            }
+            // Each element starts a line, and so does each close after its
+            // last element; an empty array or object stays on its line.
+            if std::mem::take(&mut self.opened) != close {
+                out.push_str(&compact[run..i]);
+                run = i;
+                self.newline(out);
+            }
+            match byte {
+                b'"' => self.in_string = true,
+                b'[' | b'{' => {
+                    self.depth += 1;
+                    self.opened = true;
+                }
+                b',' => {
+                    out.push_str(&compact[run..=i]);
+                    run = i + 1;
+                    self.newline(out);
+                }
+                b':' => {
+                    out.push_str(&compact[run..=i]);
+                    run = i + 1;
+                    out.push(' ');
+                }
+                _ => {}
+            }
+        }
+        out.push_str(&compact[run..]);
+    }
+
+    fn newline(&self, out: &mut String) {
+        out.push('\n');
+        for _ in 0..self.depth {
+            out.push_str("  ");
+        }
     }
 }
 

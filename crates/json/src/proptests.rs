@@ -1,14 +1,17 @@
-//! Property-based tests: print∘parse identity over arbitrary documents, and
-//! the printer's byte equality with the per-`char`, `fmt`-based reference
+//! Property-based tests: print∘parse identity over arbitrary documents, the
+//! printer's byte equality with the per-`char`, `fmt`-based reference
+//! printer it replaced, and the [`Indenter`]'s with the recursive pretty
 //! printer it replaced.
 
-use crate::{parse, Emitter, Number, Value};
+use crate::{parse, Emitter, Indenter, Number, Value};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
-/// The reference printer: the compact printer as it was before strings
-/// were copied in runs and numbers formatted without `fmt`. Test-only; the
-/// laws below hold the current printer to its bytes.
+/// The reference printers: the compact printer as it was before strings
+/// were copied in runs and numbers formatted without `fmt`, and the
+/// recursive pretty printer as it was before the [`Indenter`] laid out
+/// compact text. Test-only; the laws below hold the current printers to
+/// their bytes.
 mod reference {
     use super::*;
 
@@ -90,6 +93,46 @@ mod reference {
         let mut out = String::new();
         compact(value, &mut out);
         out
+    }
+
+    pub fn pretty(value: &Value, indent: usize, out: &mut String) {
+        match value {
+            Value::Array(items) if !items.is_empty() => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    push_indent(indent + 1, out);
+                    pretty(item, indent + 1, out);
+                    if i + 1 < items.len() {
+                        out.push(',');
+                    }
+                    out.push('\n');
+                }
+                push_indent(indent, out);
+                out.push(']');
+            }
+            Value::Object(pairs) if !pairs.is_empty() => {
+                out.push_str("{\n");
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    push_indent(indent + 1, out);
+                    string(k, out);
+                    out.push_str(": ");
+                    pretty(v, indent + 1, out);
+                    if i + 1 < pairs.len() {
+                        out.push(',');
+                    }
+                    out.push('\n');
+                }
+                push_indent(indent, out);
+                out.push('}');
+            }
+            other => compact(other, out),
+        }
+    }
+
+    fn push_indent(level: usize, out: &mut String) {
+        for _ in 0..level {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -217,6 +260,35 @@ proptest! {
     #[test]
     fn documents_print_as_the_reference(v in arb_value()) {
         prop_assert_eq!(v.to_string_compact(), reference::render(&v));
+    }
+
+    /// Pretty documents: the indenter, fed the compact text whole, cut
+    /// into pieces anywhere between characters, or one character at a
+    /// time, lays it out as the recursive printer did.
+    #[test]
+    fn indenter_lays_out_as_the_reference(
+        v in arb_value(),
+        cuts in prop::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let mut want = String::new();
+        reference::pretty(&v, 0, &mut want);
+        prop_assert_eq!(v.to_string_pretty(), want.clone());
+        let text = v.to_string_compact();
+        let mut bounds: Vec<usize> = cuts
+            .iter()
+            .map(|c| c % (text.len() + 1))
+            .filter(|&c| text.is_char_boundary(c))
+            .collect();
+        bounds.sort_unstable();
+        let every_char: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+        for bounds in [bounds, every_char] {
+            let (mut indenter, mut pieces, mut start) = (Indenter::default(), String::new(), 0);
+            for end in bounds.into_iter().chain([text.len()]) {
+                indenter.write(&text[start..end], &mut pieces);
+                start = end;
+            }
+            prop_assert_eq!(pieces, want.clone(), "{} cut at {:?}", text, cuts);
+        }
     }
 
     #[test]

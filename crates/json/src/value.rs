@@ -173,25 +173,11 @@ impl Value {
         out
     }
 
-    /// Human-readable rendering with two-space indentation.
+    /// Human-readable rendering with two-space indentation: the compact
+    /// text laid out by an [`Indenter`](crate::Indenter).
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        crate::print::write_pretty(self, 0, &mut out);
-        out
-    }
-
-    /// Pretty rendering as if this value sat `indent` two-space levels deep
-    /// inside a larger document (continuation lines are indented
-    /// accordingly; the first line carries no leading indent, exactly as
-    /// [`Value::to_string_pretty`] renders nested values).
-    ///
-    /// This is the building block for streaming writers that emit a large
-    /// document incrementally — e.g. a 10k-item sweep document written one
-    /// item at a time — while staying byte-identical to pretty-printing the
-    /// assembled document in one go.
-    pub fn to_string_pretty_indented(&self, indent: usize) -> String {
-        let mut out = String::new();
-        crate::print::write_pretty(self, indent, &mut out);
+        crate::Indenter::default().write(&self.to_string_compact(), &mut out);
         out
     }
 }

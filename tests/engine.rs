@@ -7,7 +7,7 @@ use qre::estimator::{
     EstimateRequest, Estimator, HardwareProfile, QecSchemeKind, SweepScheme, SweepSpec,
 };
 use qre::json::Value;
-use qre_cli::{run_submission, run_submission_streamed, JobSpec, Submission, SubmissionKind};
+use qre_cli::{run_submission_streamed, write_submission, JobSpec, Submission, SubmissionKind};
 
 fn counts(t: u64) -> LogicalCounts {
     LogicalCounts {
@@ -59,7 +59,9 @@ fn batch_results_come_back_in_input_order() {
         400_000, 1_000, 250_000, 5_000, 120_000, 2_000, 80_000, 10_000, 40_000, 3_000, 20_000,
         600_000,
     ];
-    let doc = run_submission(&Estimator::new(), &batch(&sizes)).unwrap();
+    let mut bytes = Vec::new();
+    write_submission(&Estimator::new(), &batch(&sizes), &mut bytes, true).unwrap();
+    let doc = qre::json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
     let items = doc.get("items").and_then(Value::as_array).unwrap();
     assert_eq!(items.len(), sizes.len());
     for (item, &t) in items.iter().zip(&sizes) {

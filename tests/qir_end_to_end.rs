@@ -109,8 +109,10 @@ fn cli_json_contract_round_trips() {
         }}"#,
         1e-4
     );
-    let spec = qre_cli::parse_job(&job_text).unwrap();
-    let cli_out = qre_cli::run_job(&Estimator::new(), &spec).unwrap();
+    let submission = qre_cli::parse_submission(&job_text).unwrap();
+    let mut bytes = Vec::new();
+    qre_cli::write_submission(&Estimator::new(), &submission, &mut bytes, false).unwrap();
+    let cli_out = qre::json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
 
     let request = EstimateRequest::builder()
         .counts(counts)
